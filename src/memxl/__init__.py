@@ -18,7 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Batches, Corpus, Vocabulary, batchify, corpus_from_text, load_corpus
 from .model import LayerMemory, MemoryLM, MemoryState, ModelConfig, update_memory
 from .optim import AdamState, adam_update, clip_global_norm, cosine_lr
-from .relpos import block_tags, encode_offsets, relative_offsets, sinusoidal_pe
+from .relpos import block_tags, encode_offsets, relative_offsets
 from .rng import RngHub
 from .skip import (
     PHASE_SKIP_RETAIN,
@@ -88,7 +88,6 @@ __all__ = [
     "save_checkpoint",
     "save_model",
     "simulate_expected_context",
-    "sinusoidal_pe",
     "train",
     "update_memory",
 ]

@@ -93,13 +93,13 @@ def run_prune_experiment(
             keep = np.ones((n_layers, n_heads), dtype=bool)
             keep[layer, head] = False
             delta[layer, head] = evaluate(model, ids, eval_context, eval_block, prune=keep).ppl - baseline.ppl
-    stddev = delta.std(axis=1, ddof=1)
+    stddev = np.array([sample_stddev(row) for row in delta])
     change = None
     if reference_stddev is not None:
         reference_stddev = np.asarray(reference_stddev, dtype=np.float64)
         if reference_stddev.shape != (n_layers,):
             raise ValueError(f"reference stddev must have length {n_layers}, got {reference_stddev.shape}")
-        change = 100.0 * (stddev - reference_stddev) / reference_stddev
+        change = np.array([pct_change(new, ref) for new, ref in zip(stddev, reference_stddev)])
     return PruneReport(baseline_ppl=baseline.ppl, delta=delta, stddev=stddev, stddev_change=change)
 
 

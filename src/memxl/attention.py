@@ -11,7 +11,7 @@ training pass; evaluation always uses the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,23 +108,6 @@ class LayerAttentionParams:
         ]
 
 
-def _batched(t: Tensor) -> tuple[Tensor, bool]:
-    if t.ndim == 2:
-        return ad.reshape(t, (1, *t.shape)), True
-    return t, False
-
-
-def _key_side(params: LayerAttentionParams, sigma: HeadAssignment | None) -> tuple[Tensor, Tensor, Tensor]:
-    """Key/value/position projections, head-permuted when cross-head is active."""
-    if sigma is not None and sigma.cross_active:
-        return (
-            ad.index_rows(params.w_ke, sigma.sigma),
-            ad.index_rows(params.w_kr, sigma.sigma),
-            ad.index_rows(params.w_v, sigma.sigma),
-        )
-    return params.w_ke, params.w_kr, params.w_v
-
-
 def _project_heads(x: Tensor, w: Tensor) -> Tensor:
     """[B, T, d] x [H, d_h, d] -> [B, H, T, d_h]."""
     return ad.matmul(ad.reshape(x, (x.shape[0], 1, *x.shape[1:])), ad.transpose(w, (0, 2, 1)))
@@ -135,35 +118,28 @@ def attention_scores(
     keys_src: Tensor,
     enc: OffsetEncodings,
     params: LayerAttentionParams,
-    sigma: HeadAssignment | None = None,
 ) -> Tensor:
-    """Masked four-term attention scores, [H, L, K] (or [B, H, L, K]).
+    """Masked four-term attention scores, [B, H, L, K], from [B, L, d]
+    queries and [B, K, d] keys.
 
     Future keys are set to -inf; scores are scaled by 1/sqrt(d_head).
     """
-    queries_src, squeeze = _batched(queries_src)
-    keys_src, _ = _batched(keys_src)
     n_keys = keys_src.shape[1]
     if enc.n_keys != n_keys:
         raise RuntimeError(f"encoding count {enc.n_keys} does not match key count {n_keys}")
 
-    w_ke, w_kr, _ = _key_side(params, sigma)
-
     q = _project_heads(queries_src, params.w_q)           # [B, H, L, d_h]
-    ke = _project_heads(keys_src, w_ke)                   # [B, H, K, d_h]
+    ke = _project_heads(keys_src, params.w_ke)            # [B, H, K, d_h]
     content = ad.matmul(ad.add(q, params.u), ad.transpose(ke, (0, 1, 3, 2)))
 
     rel = Tensor(enc.vectors.astype(queries_src.dtype))   # [n, d]
-    pos_proj = ad.matmul(ad.reshape(rel, (1, *rel.shape)), ad.transpose(w_kr, (0, 2, 1)))  # [H, n, d_h]
-    pos_all = ad.matmul(ad.add(q, params.v), ad.transpose(pos_proj, (0, 2, 1)))            # [B, H, L, n]
+    pos_proj = ad.matmul(ad.reshape(rel, (1, *rel.shape)), ad.transpose(params.w_kr, (0, 2, 1)))  # [H, n, d_h]
+    pos_all = ad.matmul(ad.add(q, params.v), ad.transpose(pos_proj, (0, 2, 1)))                   # [B, H, L, n]
     position = ad.gather_last(pos_all, enc.index)
 
     scale = 1.0 / np.sqrt(params.d_head)
     scores = ad.mul(ad.add(content, position), ad._as_tensor(scale, queries_src.dtype))
-    scores = ad.masked_fill(scores, enc.future[None, None, :, :], -np.inf)
-    if squeeze:
-        scores = ad.reshape(scores, scores.shape[1:])
-    return scores
+    return ad.masked_fill(scores, enc.future[None, None, :, :], -np.inf)
 
 
 def attention_probs(scores: Tensor) -> Tensor:
@@ -174,28 +150,11 @@ def attention_probs(scores: Tensor) -> Tensor:
     return ad.softmax(scores, axis=-1)
 
 
-def head_output(
-    probs: Tensor,
-    values_src: Tensor,
-    params: LayerAttentionParams,
-    sigma: HeadAssignment | None = None,
-) -> Tensor:
-    """Probability-weighted value vectors, (B,) H, L, d_h; the value
-    projection comes from the matched head."""
-    probs, squeeze = _batched_probs(probs)
-    values_src, _ = _batched(values_src)
-    _, _, w_v = _key_side(params, sigma)
-    v = _project_heads(values_src, w_v)  # [B, H, K, d_h]
-    out = ad.matmul(probs, v)            # [B, H, L, d_h]
-    if squeeze:
-        out = ad.reshape(out, out.shape[1:])
-    return out
-
-
-def _batched_probs(t: Tensor) -> tuple[Tensor, bool]:
-    if t.ndim == 3:
-        return ad.reshape(t, (1, *t.shape)), True
-    return t, False
+def head_output(probs: Tensor, values_src: Tensor, params: LayerAttentionParams) -> Tensor:
+    """Probability-weighted value vectors, [B, H, L, d_h], from [B, H, L, K]
+    probabilities and [B, K, d] value sources."""
+    v = _project_heads(values_src, params.w_v)  # [B, H, K, d_h]
+    return ad.matmul(probs, v)
 
 
 def multi_head_forward(
@@ -206,18 +165,26 @@ def multi_head_forward(
     sigma: HeadAssignment | None = None,
     prune: np.ndarray | None = None,
 ) -> Tensor:
-    """Full attention sublayer body: scores, softmax, per-head outputs,
-    pruning, concatenation and output projection. Returns [.., L, d]."""
-    x_block, squeeze = _batched(x_block)
-    if memory is not None and memory.shape[-2] > 0:
-        mem_b, _ = _batched(memory)
-        keys_src = ad.concat([mem_b, x_block], axis=1)
-    else:
-        keys_src = x_block
+    """Full attention sublayer body on [B, L, d] queries and [B, M, d]
+    memory: scores, softmax, per-head outputs, pruning, concatenation and
+    output projection. Returns [B, L, d].
 
-    scores = attention_scores(x_block, keys_src, enc, params, sigma)
+    Under an active cross-head assignment, query head M reads the key,
+    position and value projections of head sigma(M); the permuted weights
+    are gathered once here and serve both the scores and the values.
+    """
+    keys_src = x_block if memory is None else ad.concat([memory, x_block], axis=1)
+    if sigma is not None and sigma.cross_active:
+        params = replace(
+            params,
+            w_ke=ad.index_rows(params.w_ke, sigma.sigma),
+            w_kr=ad.index_rows(params.w_kr, sigma.sigma),
+            w_v=ad.index_rows(params.w_v, sigma.sigma),
+        )
+
+    scores = attention_scores(x_block, keys_src, enc, params)
     probs = attention_probs(scores)
-    heads = head_output(probs, keys_src, params, sigma)  # [B, H, L, d_h]
+    heads = head_output(probs, keys_src, params)  # [B, H, L, d_h]
 
     if prune is not None:
         prune = np.asarray(prune, dtype=bool)
@@ -227,7 +194,4 @@ def multi_head_forward(
 
     batch, n_heads, length, d_head = heads.shape
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (batch, length, n_heads * d_head))
-    out = ad.matmul(merged, ad.transpose(params.w_o))
-    if squeeze:
-        out = ad.reshape(out, out.shape[1:])
-    return out
+    return ad.matmul(merged, ad.transpose(params.w_o))

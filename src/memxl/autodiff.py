@@ -261,23 +261,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    extent = a.shape[axis]
-    if start < 0 or length < 0 or start + length > extent:
-        raise ValueError(f"narrow [{start}, {start + length}) out of range for axis {axis} of size {extent}")
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-
-    def vjp(g):
-        ga = np.zeros(a.shape, dtype=g.dtype)
-        ga[index] = g
-        return (ga,)
-
-    return _make(a.data[index], (a,), vjp)
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is None:

@@ -3,7 +3,8 @@ handling, and strict unknown-key rejection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import ModelConfig
@@ -65,29 +66,20 @@ def apply_overrides(kv: dict[str, str], overrides: list[str]) -> dict[str, str]:
     return out
 
 
-def _bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
+def _field_types(cls, exclude: tuple[str, ...] = ()) -> dict[str, type]:
+    """Config keys and their value types, read from a config dataclass in
+    field order; an optional ``X | None`` field takes values of type X."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.name in exclude:
+            continue
+        kinds = [k for k in typing.get_args(hints[f.name]) if k is not type(None)]
+        out[f.name] = kinds[0] if kinds else hints[f.name]
+    return out
 
 
-MODEL_KEYS = {
-    "n_layers": int,
-    "d_model": int,
-    "d_inner": int,
-    "n_heads": int,
-    "d_head": int,
-    "mem_len": int,
-    "block_len": int,
-    "vocab_size": int,
-    "dropout": float,
-    "beta": float,
-    "init_std": float,
-    "param_dtype": str,
-}
+MODEL_KEYS = _field_types(ModelConfig)
 
 MODEL_DEFAULTS = {
     "n_layers": 4,
@@ -99,33 +91,12 @@ MODEL_DEFAULTS = {
     "block_len": 32,
 }
 
-TRAIN_KEYS = {
-    "steps": int,
-    "batch_size": int,
-    "base_lr": float,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "cosine_max_iters": int,
-    "clip_norm": float,
-    "seed": int,
-    "eval_interval": int,
-    "eval_context": int,
-    "eval_block": int,
-    "window": int,
-    "threshold": float,
-}
+# the schedule comes from its own keys, see build_schedule
+TRAIN_KEYS = _field_types(TrainConfig, exclude=("schedule",))
 
 SCHEDULE_KEYS = {"schedule": str, "schedule_p": float}
 
-RUN_KEYS = {
-    "corpus": str,
-    "level": str,
-    "checkpoint": str,
-    "log": str,
-    "checkpoint_every": int,
-    "eval_split": float,
-}
+RUN_KEYS = _field_types(RunConfig)
 
 KNOWN_KEYS = {**MODEL_KEYS, **TRAIN_KEYS, **SCHEDULE_KEYS, **RUN_KEYS}
 
@@ -136,7 +107,7 @@ def _coerce(kv: dict[str, str], keys: dict[str, type]) -> dict:
         if key not in kv:
             continue
         try:
-            out[key] = _bool(kv[key]) if kind is bool else kind(kv[key])
+            out[key] = kind(kv[key])
         except ValueError as e:
             raise ValueError(f"config key {key}: {e}") from None
     return out

@@ -12,33 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_PE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def sinusoidal_pe(r: int, d: int) -> np.ndarray:
-    """Encoding vector for relative offset ``r``: sines in the first half,
-    matching cosines in the second, frequency 10000^(-2i/d).
-
-    Computed on demand for any r (no table bound); results are memoized.
-    """
-    if d % 2 != 0 or d < 2:
-        raise ValueError(f"encoding width must be even and >= 2, got {d}")
-    if r < 0:
-        raise ValueError(f"offset must be nonnegative, got {r}")
-    key = (int(r), int(d))
-    cached = _PE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    half = d // 2
-    inv_freq = np.power(10000.0, -2.0 * np.arange(half) / d)
-    angles = r * inv_freq
-    vec = np.concatenate([np.sin(angles), np.cos(angles)])
-    _PE_CACHE[key] = vec
-    return vec
-
 
 def pe_matrix(offsets: np.ndarray, d: int) -> np.ndarray:
-    """Stack of encoding vectors, one row per offset value."""
+    """Stack of encoding vectors, one row per offset value: sines in the
+    first half, matching cosines in the second, frequency 10000^(-2i/d).
+
+    Computed on demand for any offsets (no table bound).
+    """
     if d % 2 != 0 or d < 2:
         raise ValueError(f"encoding width must be even and >= 2, got {d}")
     offsets = np.asarray(offsets, dtype=np.float64)

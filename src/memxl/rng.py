@@ -25,13 +25,10 @@ class RngHub:
             for k, name in enumerate(PURPOSES)
         }
 
-    def stream(self, name: str) -> np.random.Generator:
+    def __getitem__(self, name: str) -> np.random.Generator:
         if name not in self._streams:
             raise KeyError(f"unknown rng purpose {name!r}; known: {PURPOSES}")
         return self._streams[name]
-
-    def __getitem__(self, name: str) -> np.random.Generator:
-        return self.stream(name)
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of every substream."""

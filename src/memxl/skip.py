@@ -194,8 +194,3 @@ class PhaseController:
         ctrl.transition_step = None if ts is None else int(ts)
         return ctrl
 
-
-def phase_step(ctrl: PhaseController, eval_ppl: float, step: int) -> PhaseController:
-    """Functional wrapper over ``PhaseController.observe``."""
-    ctrl.observe(step, eval_ppl)
-    return ctrl

@@ -122,7 +122,11 @@ def evaluate(
             loss = ad.cross_entropy(logits, ids[start + 1 : stop + 1][None, :])
             total += float(loss.data) * (stop - start)
     nll = total / n_scored
-    return EvalReport(nll=nll, ppl=math.exp(nll), bpc=nll / math.log(2.0), tokens=n_scored, context=eval_context)
+    try:
+        ppl = math.exp(nll)
+    except OverflowError:  # nll above ~709.78 nats: finite NLL, infinite perplexity
+        ppl = math.inf
+    return EvalReport(nll=nll, ppl=ppl, bpc=nll / math.log(2.0), tokens=n_scored, context=eval_context)
 
 
 LOG_HEADER = "step\tphase\tlr\ttrain_nll\teval_ppl"

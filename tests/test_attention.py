@@ -48,10 +48,14 @@ def oracle_forward(x_block, memory, query_tags, key_tags, params, sigma, prune=N
 
 
 def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None, prune=None):
+    """Attention sublayer on one sequence [L, d] or a batch [B, L, d]; the
+    output has the shape of ``x_block``."""
     offsets = relative_offsets(query_tags, key_tags)
     enc = encode_offsets(offsets, x_block.shape[-1])
-    mem_t = ad.Tensor(memory) if memory is not None and len(memory) else None
-    return attention.multi_head_forward(ad.Tensor(x_block), mem_t, enc, params, assignment, prune)
+    x_t = ad.Tensor(x_block.reshape(-1, *x_block.shape[-2:]))
+    mem_t = ad.Tensor(memory.reshape(-1, *memory.shape[-2:])) if memory is not None and len(memory) else None
+    out = attention.multi_head_forward(x_t, mem_t, enc, params, assignment, prune)
+    return ad.reshape(out, x_block.shape)
 
 
 class TestForwardOracle:
@@ -75,17 +79,20 @@ class TestForwardOracle:
         want = oracle_forward(x, mem, q_tags, key_tags, params, sigma=None)
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
 
-    def test_matches_loop_oracle_batched(self, rng):
+    @pytest.mark.parametrize("prune", [None, np.array([True, False, True])], ids=["all_heads", "pruned"])
+    @pytest.mark.parametrize("sigma", [None, np.array([2, 0, 1])], ids=["identity", "crossed"])
+    def test_matches_loop_oracle_batched(self, rng, sigma, prune):
         params = make_params(rng)
         mem = rng.standard_normal((2, 3, 6))
         x = rng.standard_normal((2, 4, 6))
         mem_tags = np.arange(0, 3)
         q_tags = np.arange(3, 7)
         key_tags = np.concatenate([mem_tags, q_tags])
-        got = run_forward(x, mem, q_tags, key_tags, params)
+        assignment = None if sigma is None else HeadAssignment(sigma=sigma, cross_active=True)
+        got = run_forward(x, mem, q_tags, key_tags, params, assignment, prune)
         assert got.shape == (2, 4, 6)
         for b in range(2):
-            want = oracle_forward(x[b], mem[b], q_tags, key_tags, params, sigma=None)
+            want = oracle_forward(x[b], mem[b], q_tags, key_tags, params, sigma=sigma, prune=prune)
             np.testing.assert_allclose(got.data[b], want, rtol=1e-12, atol=1e-14)
 
     def test_cross_assignment_matches_loop_oracle(self, rng):
@@ -158,11 +165,11 @@ class TestPruning:
 class TestScores:
     def test_future_keys_get_zero_probability(self, rng):
         params = make_params(rng)
-        x = ad.Tensor(rng.standard_normal((4, 6)))
+        x = ad.Tensor(rng.standard_normal((1, 4, 6)))
         q_tags = np.arange(4)
         offsets = relative_offsets(q_tags, q_tags)
         enc = encode_offsets(offsets, 6)
-        probs = attention.attention_probs(attention.attention_scores(x, x, enc, params)).data
+        probs = attention.attention_probs(attention.attention_scores(x, x, enc, params)).data[0]
         for i in range(4):
             for j in range(4):
                 if j > i:
@@ -175,8 +182,8 @@ class TestScores:
         params = make_params(rng, n_heads=2, d_head=3, d_model=d_model)
         params.u.data[:] = 0.0
         params.v.data[:] = 0.0
-        queries = rng.standard_normal((1, d_model))
-        keys = rng.standard_normal((4, d_model))
+        queries = rng.standard_normal((1, 1, d_model))
+        keys = rng.standard_normal((1, 4, d_model))
         enc = encode_offsets(relative_offsets([3], np.arange(4)), d_model)
 
         base = attention.attention_scores(ad.Tensor(queries), ad.Tensor(keys), enc, params).data
@@ -190,7 +197,7 @@ class TestScores:
 
     def test_encoding_count_mismatch_rejected(self, rng):
         params = make_params(rng)
-        x = ad.Tensor(rng.standard_normal((4, 6)))
+        x = ad.Tensor(rng.standard_normal((1, 4, 6)))
         enc = encode_offsets(relative_offsets(np.arange(4), np.arange(3)), 6)
         with pytest.raises(RuntimeError, match="does not match key count"):
             attention.attention_scores(x, x, enc, params)

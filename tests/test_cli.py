@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from memxl.cli import main
-from memxl.train import load_model
+from memxl.train import load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,25 @@ class TestEval:
         assert float(values[1]) > 1.0
         assert int(values[4]) == 16
 
+    def test_overflowing_perplexity_reported_as_inf(self, workspace, tmp_path, capsys):
+        root, corpus, _ = workspace
+        model, vocab = load_model(root / "run.ckpt")
+        model.ln_out_g.data = np.full_like(model.ln_out_g.data, 1e4)
+        ckpt = tmp_path / "hot.ckpt"
+        save_model(ckpt, model, vocab)
+        out = tmp_path / "eval.tsv"
+        rc = main(
+            [
+                "eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                "--context", "16", "--block", "8", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert "ppl inf" in capsys.readouterr().out
+        nll, ppl, bpc = (float(v) for v in out.read_text().strip().split("\n")[1].split("\t")[:3])
+        assert nll > 710 and np.isfinite(bpc)
+        assert ppl == np.inf
+
     def test_bad_checkpoint_path_fails_cleanly(self, workspace, capsys):
         _, corpus, _ = workspace
         rc = main(["eval", "--checkpoint", "/nonexistent.ckpt", "--corpus", str(corpus)])
@@ -127,6 +146,18 @@ class TestPrune:
         lines = out.read_text().strip().split("\n")
         assert lines[0].split("\t") == ["layer", "h1", "h2", "stddev", "pct_change"]
         assert len(lines) == 3
+
+
+    def test_zero_reference_fails_cleanly(self, workspace, capsys):
+        root, corpus, _ = workspace
+        rc = main(
+            [
+                "prune", "--checkpoint", str(root / "run.ckpt"), "--corpus", str(corpus),
+                "--context", "16", "--block", "8", "--ref", "0.5,0",
+            ]
+        )
+        assert rc == 1
+        assert "error: reference value is zero" in capsys.readouterr().err
 
 
 class TestAudit:

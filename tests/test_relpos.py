@@ -19,14 +19,19 @@ def mp_pe(r: int, d: int) -> np.ndarray:
     return np.array(sines + cosines)
 
 
+def pe(r: int, d: int) -> np.ndarray:
+    """The encoding of a single offset, as one row of ``pe_matrix``."""
+    return relpos.pe_matrix(np.array([r]), d)[0]
+
+
 class TestSinusoidalPe:
     def test_matches_extended_precision_oracle(self):
-        np.testing.assert_allclose(relpos.sinusoidal_pe(7, 8), mp_pe(7, 8), atol=1e-15)
-        np.testing.assert_allclose(relpos.sinusoidal_pe(0, 4), mp_pe(0, 4), atol=1e-15)
-        np.testing.assert_allclose(relpos.sinusoidal_pe(5000, 16), mp_pe(5000, 16), atol=5e-13)
+        np.testing.assert_allclose(pe(7, 8), mp_pe(7, 8), atol=1e-15)
+        np.testing.assert_allclose(pe(0, 4), mp_pe(0, 4), atol=1e-15)
+        np.testing.assert_allclose(pe(5000, 16), mp_pe(5000, 16), atol=5e-13)
 
     def test_offset_zero_is_zeros_then_ones(self):
-        vec = relpos.sinusoidal_pe(0, 6)
+        vec = pe(0, 6)
         np.testing.assert_array_equal(vec[:3], np.zeros(3))
         np.testing.assert_array_equal(vec[3:], np.ones(3))
 
@@ -34,27 +39,20 @@ class TestSinusoidalPe:
     @settings(max_examples=50, deadline=None)
     def test_sin_cos_pairs_lie_on_unit_circle(self, r, half):
         d = 2 * half
-        vec = relpos.sinusoidal_pe(r, d)
+        vec = pe(r, d)
         np.testing.assert_allclose(vec[:half] ** 2 + vec[half:] ** 2, np.ones(half), atol=1e-12)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            relpos.sinusoidal_pe(3, 7)
+            relpos.pe_matrix(np.array([3]), 7)
         with pytest.raises(ValueError):
-            relpos.sinusoidal_pe(3, 0)
-        with pytest.raises(ValueError):
-            relpos.sinusoidal_pe(-1, 8)
-
-    def test_memoized(self):
-        a = relpos.sinusoidal_pe(123, 10)
-        b = relpos.sinusoidal_pe(123, 10)
-        assert a is b
+            relpos.pe_matrix(np.array([3]), 0)
 
     def test_pe_matrix_rows_match_single_offset_form(self):
         offsets = np.array([0, 3, 11, 64])
         mat = relpos.pe_matrix(offsets, 8)
         for row, r in zip(mat, offsets):
-            np.testing.assert_allclose(row, relpos.sinusoidal_pe(int(r), 8), atol=1e-15)
+            np.testing.assert_allclose(row, mp_pe(int(r), 8), atol=1e-15)
 
 
 class TestOffsets:
@@ -84,7 +82,7 @@ class TestOffsets:
                     assert enc.index[i, j] == 0
                 else:
                     assert not enc.future[i, j]
-                    expected = relpos.sinusoidal_pe(int(offsets[i, j]), 6)
+                    expected = mp_pe(int(offsets[i, j]), 6)
                     np.testing.assert_allclose(enc.vectors[enc.index[i, j]], expected, atol=1e-15)
 
     def test_encode_offsets_deduplicates(self):

@@ -155,6 +155,14 @@ class TestPhaseController:
         with pytest.raises(RuntimeError, match="NaN"):
             ctrl.observe(0, float("nan"))
 
+    def test_only_infinite_perplexities_never_switch(self):
+        # improvement inf - inf is NaN, which never compares below the threshold
+        ctrl = PhaseController(window=1, threshold=0.5)
+        fired = [ctrl.observe(s, float("inf")) for s in range(5)]
+        assert not any(fired)
+        assert ctrl.phase == PHASE_SKIP_RETAIN
+        assert ctrl.transition_step is None
+
     def test_state_round_trip(self):
         ctrl = PhaseController(window=5, threshold=0.2)
         ctrl.observe(0, 10.0)

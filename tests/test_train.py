@@ -85,6 +85,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="below 1"):
             EvalReport(nll=-0.5, ppl=math.exp(-0.5), bpc=-0.5 / math.log(2), tokens=1, context=4)
 
+    def test_overflowing_perplexity_is_infinite(self, tiny_model):
+        model, _ = tiny_model
+        model.ln_out_g.data[:] = 1e4  # logits in the thousands: nll far above log(float max)
+        report = evaluate(model, make_ids(60), 8, 4)
+        assert report.nll > 710 and math.isfinite(report.nll) and math.isfinite(report.bpc)
+        assert report.ppl == math.inf
+
     def test_longer_context_helps_a_trained_model(self, trained_lm):
         model, ids = trained_lm
         with_memory = evaluate(model, ids, eval_context=32, eval_block=16)
