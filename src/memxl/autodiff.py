@@ -93,38 +93,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar --------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x, dtype=np.float64) -> Tensor:
     if isinstance(x, Tensor):
@@ -150,63 +118,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make(a.data - b.data, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _make(a.data * b.data, (a, b), vjp)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _make(a.data / b.data, (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
-def pow_const(a: Tensor, p: float) -> Tensor:
-    def vjp(g):
-        return (g * p * a.data ** (p - 1),)
-
-    return _make(a.data**p, (a,), vjp)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out_data,)
-
-    return _make(out_data, (a,), vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g / a.data,)
-
-    return _make(np.log(a.data), (a,), vjp)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * 0.5 / out_data,)
-
-    return _make(out_data, (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -271,11 +187,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / count, a.dtype))
-
-
 def masked_fill(a: Tensor, fill_mask: np.ndarray, value: float) -> Tensor:
     """Overwrite positions where ``fill_mask`` is True with ``value`` (no grad there)."""
     mask = np.broadcast_to(fill_mask, a.shape)
@@ -319,13 +230,21 @@ def index_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(table.data[ids], (table,), vjp)
 
 
-# -- composed functions --------------------------------------------------
+# -- fused functions: one node each, with a hand-written VJP ----------------
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``; subtracts the row max before exponentiation."""
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    e = exp(sub(x, Tensor(shift)))
-    return div(e, sum_(e, axis=axis, keepdims=True))
+    """Softmax along ``axis``; subtracts the row max before exponentiation.
+
+    A ``-inf`` entry gets probability 0 and gradient exactly 0, so masked
+    keys stay out of both passes. A row must hold at least one finite entry.
+    """
+    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return (p * (g - np.sum(g * p, axis=axis, keepdims=True)),)
+
+    return _make(p, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -333,11 +252,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, _as_tensor(eps, x.dtype))))
-    return add(mul(normed, gain), bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+
+    def vjp(g):
+        gn = g * gain.data
+        gx = (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
+        # gain and bias broadcast over every leading axis, so their grads sum over them
+        lead = tuple(range(g.ndim - 1))
+        return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
+
+    return _make(normed * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -352,11 +278,16 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise ValueError(f"target id out of range [0, {vocab})")
     shift = np.max(logits.data, axis=-1, keepdims=True)
-    e = exp(sub(logits, Tensor(shift)))
-    lse = add(log(sum_(e, axis=-1, keepdims=True)), Tensor(shift))
-    picked = gather_last(logits, targets[..., None])
-    per_token = sub(lse, picked)
-    return mul(sum_(per_token), _as_tensor(1.0 / targets.size, logits.dtype))
+    e = np.exp(logits.data - shift)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(logits.data, targets[..., None], axis=-1)
+    per_token = np.log(total) + shift - picked
+
+    def vjp(g):
+        onehot = np.arange(vocab) == targets[..., None]
+        return ((e / total - onehot) * (g / targets.size),)
+
+    return _make(per_token.mean(), (logits,), vjp)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

@@ -142,6 +142,13 @@ class PhaseController:
     The switch fires when the best perplexity seen so far beats the best
     from at least ``window`` steps ago by strictly less than ``threshold``.
     It fires at most once and never reverses.
+
+    A reading worse than the best so far leaves that best unchanged, so it
+    counts as no improvement whether it is 25 or ``inf``: a diverged
+    evaluation after finite ones reads as a plateau and switches. Only when
+    every reading is infinite does the comparison (``inf - inf``) never fire.
+    The quick-start check in ``benchmark/workloads.py`` re-derives this rule
+    from the log and treats such readings the same way.
     """
 
     window: int

@@ -306,11 +306,8 @@ class Trainer:
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
         )
-        for name, p in model.named_parameters():
-            stored = arrays[f"param.{name}"]
-            if stored.shape != p.shape:
-                raise ValueError(f"checkpoint parameter {name} has shape {stored.shape}, expected {p.shape}")
-            p.data = stored
+        _restore_parameters(model, arrays)
+        for name, _ in model.named_parameters():
             trainer.adam.m[name] = arrays[f"adam_m.{name}"]
             trainer.adam.v[name] = arrays[f"adam_v.{name}"]
         trainer.adam.t = int(meta["adam_t"])
@@ -331,6 +328,15 @@ class Trainer:
         return trainer
 
 
+def _restore_parameters(model: MemoryLM, arrays: dict[str, np.ndarray]) -> None:
+    """Set each parameter to the checkpoint's ``param.{name}`` array of the same shape."""
+    for name, p in model.named_parameters():
+        stored = arrays[f"param.{name}"]
+        if stored.shape != p.shape:
+            raise ValueError(f"checkpoint parameter {name} has shape {stored.shape}, expected {p.shape}")
+        p.data = stored
+
+
 def save_model(path, model: MemoryLM, vocab: Vocabulary | None = None) -> None:
     """Parameters-only checkpoint, enough for evaluation and pruning."""
     meta = {
@@ -348,11 +354,7 @@ def load_model(path) -> tuple[MemoryLM, Vocabulary | None]:
     if meta.get("kind") not in ("model", "trainer"):
         raise ValueError(f"not a model checkpoint: kind {meta.get('kind')!r}")
     model = MemoryLM(ModelConfig(**meta["model_config"]), np.random.default_rng(0))
-    for name, p in model.named_parameters():
-        stored = arrays[f"param.{name}"]
-        if stored.shape != p.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape {stored.shape}, expected {p.shape}")
-        p.data = stored
+    _restore_parameters(model, arrays)
     vocab = Vocabulary.from_dict(meta["vocab"]) if meta.get("vocab") else None
     return model, vocab
 

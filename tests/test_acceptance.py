@@ -12,19 +12,8 @@ import numpy as np
 
 import memxl.autodiff as ad
 from conftest import PANGRAM_TEXT, tiny_config
-from memxl import (
-    MemoryLM,
-    ModelConfig,
-    RngHub,
-    SkipSchedule,
-    TrainConfig,
-    Trainer,
-    evaluate,
-    grad_check_model,
-    pct_change,
-    sample_stddev,
-    train,
-)
+from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule, TrainConfig, Trainer, train
+from memxl.analysis import grad_check_model, pct_change, sample_stddev
 from memxl.attention import sample_head_assignment
 from memxl.data import batchify, corpus_from_text
 from memxl.model import LayerTrace
@@ -38,6 +27,7 @@ from memxl.skip import (
     schedule_probabilities,
     simulate_expected_context,
 )
+from memxl.train import evaluate
 
 
 def assert_budget(t0: float, seconds: float):

@@ -3,12 +3,9 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from memxl import (
-    MemoryLM,
-    ModelConfig,
-    RngHub,
-    SkipSchedule,
-    evaluate,
+from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule
+from memxl.analysis import (
+    check_config,
     expected_context_report,
     grad_check_model,
     pct_change,
@@ -16,7 +13,7 @@ from memxl import (
     run_prune_experiment,
     sample_stddev,
 )
-from memxl.analysis import check_config
+from memxl.train import evaluate
 
 
 class TestStatistics:

@@ -3,9 +3,9 @@ import pytest
 
 import memxl.autodiff as ad
 from conftest import tiny_config
-from memxl import MemoryLM, MemoryState, RngHub
+from memxl import MemoryLM, RngHub
 from memxl.attention import HeadAssignment
-from memxl.model import LayerMemory, LayerTrace, update_memory
+from memxl.model import LayerMemory, LayerTrace, MemoryState, update_memory
 from test_attention import oracle_forward
 
 

@@ -163,6 +163,15 @@ class TestPhaseController:
         assert ctrl.phase == PHASE_SKIP_RETAIN
         assert ctrl.transition_step is None
 
+    @pytest.mark.parametrize("worse", [25.0, float("inf")])
+    def test_reading_worse_than_best_counts_as_no_improvement(self, worse):
+        ctrl = PhaseController(window=5, threshold=0.5)
+        assert not ctrl.observe(0, 30.0)
+        assert not ctrl.observe(5, 20.0)
+        assert ctrl.observe(10, worse)
+        assert ctrl.phase == PHASE_VANILLA
+        assert ctrl.transition_step == 10
+
     def test_state_round_trip(self):
         ctrl = PhaseController(window=5, threshold=0.2)
         ctrl.observe(0, 10.0)

@@ -1,24 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import tiny_config
-from memxl import (
-    EvalReport,
-    MemoryLM,
-    RngHub,
-    SkipSchedule,
-    TrainConfig,
-    Trainer,
-    evaluate,
-    load_model,
-    save_model,
-    train,
-)
+from conftest import PANGRAM_TEXT, tiny_config
+from memxl import MemoryLM, RngHub, SkipSchedule, TrainConfig, Trainer, train
+from memxl.checkpoint import load_checkpoint, save_checkpoint
 from memxl.data import batchify, corpus_from_text
 from memxl.skip import PHASE_SKIP_RETAIN, PHASE_VANILLA
-from memxl.train import LOG_HEADER
+from memxl.train import LOG_HEADER, EvalReport, evaluate, load_model, save_model
 
 
 def make_ids(n=200, vocab=11, seed=0):
@@ -222,6 +213,22 @@ class TestPersistence:
         clone, _ = load_model(path)
         assert clone.config == trainer.model.config
 
+    def test_both_loaders_reject_a_misshapen_parameter(self, tmp_path):
+        trainer = quick_trainer(steps=1)
+        trainer.run()
+        path = tmp_path / "t.ckpt"
+        trainer.save(path)
+        meta, arrays = load_checkpoint(path)
+        name = next(iter(trainer.model.named_parameters()))[0]
+        stored = arrays[f"param.{name}"]
+        arrays[f"param.{name}"] = np.zeros(stored.shape + (1,), dtype=stored.dtype)
+        save_checkpoint(path, meta, arrays)
+        message = f"checkpoint parameter {name} has shape {stored.shape + (1,)}, expected {stored.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trainer.load(path, trainer.batches)
+
     def test_resume_rejects_model_only_checkpoint(self, tmp_path, tiny_model):
         model, _ = tiny_model
         path = tmp_path / "m.ckpt"
@@ -256,3 +263,28 @@ class TestTrainHelper:
         cfg = TrainConfig(steps=7, schedule=SkipSchedule.protect_both(0.25), window=9)
         clone = TrainConfig.from_dict(cfg.to_dict())
         assert clone == cfg
+
+
+class TestPrecision:
+    def test_float32_run_tracks_float64(self):
+        """40 skip-retain steps with crossed heads, then a streaming evaluation,
+        agree between float32 and float64 parameters to 1e-5 relative, and
+        training leaves float32 parameters float32."""
+        corpus = corpus_from_text(PANGRAM_TEXT, "char")
+
+        def run(dtype):
+            hub = RngHub(7)
+            model = MemoryLM(
+                tiny_config(
+                    n_layers=4, d_model=16, d_inner=32, n_heads=4, d_head=4, mem_len=8, block_len=8,
+                    vocab_size=corpus.vocab.size, beta=0.5, init_std=0.02, param_dtype=dtype,
+                ),
+                hub["init"],
+            )
+            cfg = TrainConfig(steps=40, batch_size=2, seed=7, schedule=SkipSchedule.uniform(0.4))
+            trainer = Trainer(model, cfg, batchify(corpus.ids, 2, 8), None, hub)
+            losses = [trainer.train_step().train_nll for _ in range(cfg.steps)]
+            assert {p.dtype for _, p in model.named_parameters()} == {np.dtype(dtype)}
+            return np.array(losses + [evaluate(model, corpus.ids, 40, 8).nll])
+
+        np.testing.assert_allclose(run("float32"), run("float64"), rtol=1e-5, atol=0)
