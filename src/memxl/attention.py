@@ -132,7 +132,7 @@ def attention_scores(
     ke = _project_heads(keys_src, params.w_ke)            # [B, H, K, d_h]
     content = ad.matmul(ad.add(q, params.u), ad.transpose(ke, (0, 1, 3, 2)))
 
-    rel = Tensor(enc.vectors.astype(queries_src.dtype))   # [n, d]
+    rel = Tensor(enc.vectors.astype(queries_src.dtype, copy=False))  # [n, d]
     pos_proj = ad.matmul(ad.reshape(rel, (1, *rel.shape)), ad.transpose(params.w_kr, (0, 2, 1)))  # [H, n, d_h]
     pos_all = ad.matmul(ad.add(q, params.v), ad.transpose(pos_proj, (0, 2, 1)))                   # [B, H, L, n]
     position = ad.gather_last(pos_all, enc.index)

@@ -198,22 +198,21 @@ def masked_fill(a: Tensor, fill_mask: np.ndarray, value: float) -> Tensor:
 
 
 def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
-    """out[..., k] = a[..., index[..., k]] along the last axis.
+    """out[..., r, k] = a[..., r, index[r, k]] for ``a`` of shape [..., R, n].
 
-    ``index`` broadcasts over leading axes; backward scatter-adds,
-    so repeated indices accumulate.
+    The [R, K] ``index`` is shared by every leading axis. Backward sums
+    with one weighted bincount, so repeated indices accumulate.
     """
-    out_shape = a.shape[:-1] + (index.shape[-1],)
-    idx_full = np.broadcast_to(index, out_shape)
-    out_data = np.take_along_axis(a.data, idx_full, axis=-1)
+    if index.ndim != 2 or a.ndim < 2 or index.shape[0] != a.shape[-2]:
+        raise ValueError(f"index must be [R, K] with R = a.shape[-2]; got {index.shape} for a of shape {a.shape}")
+    rows, n = a.shape[-2:]
+    flat = (np.arange(rows)[:, None] * n + index).ravel()  # into one [R * n] slab
+    out_data = np.take(a.data.reshape(-1, rows * n), flat, axis=1).reshape(a.shape[:-1] + index.shape[1:])
 
     def vjp(g):
-        ga = np.zeros(a.shape, dtype=g.dtype)
-        flat_ga = ga.reshape(-1, a.shape[-1])
-        flat_idx = idx_full.reshape(-1, idx_full.shape[-1])
-        rows = np.arange(flat_ga.shape[0])[:, None]
-        np.add.at(flat_ga, (rows, flat_idx), g.reshape(flat_idx.shape))
-        return (ga,)
+        slabs = (np.arange(0, a.size, rows * n)[:, None] + flat).ravel()  # every slab of the leading axes
+        ga = np.bincount(slabs, weights=g.ravel(), minlength=a.size)
+        return (ga.astype(g.dtype, copy=False).reshape(a.shape),)
 
     return _make(out_data, (a,), vjp)
 

@@ -9,7 +9,7 @@ the relative offsets its next update will see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,6 +271,7 @@ class MemoryLM:
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
         q_tags = block_tags(mems.next_position, length)
 
+        layouts = {}  # cache tags -> (offsets, encodings), shared by layers whose caches hold the same tags
         new_layers: list[LayerMemory] = []
         for i, (lp, lm) in enumerate(zip(self.layers, mems.layers)):
             if skip_mask[i]:
@@ -280,9 +281,11 @@ class MemoryLM:
                 continue
 
             layer_input = h
-            key_tags = np.concatenate([lm.tags, q_tags])
-            offsets = relative_offsets(q_tags, key_tags)
-            enc = encode_offsets(offsets, cfg.d_model)
+            layout = lm.tags.tobytes()
+            if layout not in layouts:
+                offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
+                layouts[layout] = offsets, encode_offsets(offsets, cfg.d_model)
+            offsets, enc = layouts[layout]
             if record is not None:
                 record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=offsets))
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memxl.autodiff as ad
+from memxl import relpos
 
 
 def numeric_grad(loss_fn, arrays, index, step=1e-6):
@@ -201,6 +202,40 @@ class TestIndexingOps:
             for c in index[r]:
                 expected[r, c] += 1.0
         np.testing.assert_array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gather_last_matches_loop_oracle(self, rng, dtype):
+        """[2, 3, L, n] scores gathered through a stale cache's offset index,
+        where future slots and the diagonal both map to offset 0."""
+        q_tags = np.arange(10, 14)
+        enc = relpos.encode_offsets(relpos.relative_offsets(q_tags, np.r_[2, 3, 6, q_tags]), 8)
+        index = enc.index  # [4, 7] into n distinct offsets
+        assert ((index == 0).sum(axis=1) > 1).any()
+        a_np = rng.standard_normal((2, 3, index.shape[0], enc.offsets.size)).astype(dtype)
+        g_np = rng.standard_normal((2, 3, *index.shape)).astype(dtype)
+
+        want_out = np.empty(g_np.shape, dtype=dtype)
+        want_grad = np.zeros(a_np.shape, dtype=dtype)
+        rows = np.arange(index.shape[0])[:, None]
+        for b in range(2):
+            for h in range(3):
+                want_out[b, h] = np.take_along_axis(a_np[b, h], index, axis=-1)
+                np.add.at(want_grad[b, h], (rows, index), g_np[b, h])
+
+        a = ad.Tensor(a_np, requires_grad=True)
+        out = ad.gather_last(a, index)
+        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g_np))))
+        assert out.dtype == a.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data, want_out)
+        # float32 may round a repeated entry's sum once instead of per term
+        np.testing.assert_allclose(a.grad, want_grad, rtol=1e-6 if dtype == np.float32 else 0, atol=0)
+
+    def test_gather_last_rejects_misshapen_index(self):
+        a = ad.Tensor(np.zeros((2, 3, 4)))
+        for index in (np.zeros(3, dtype=np.int64), np.zeros((1, 3, 2), dtype=np.int64),
+                      np.zeros((4, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match="index must be"):
+                ad.gather_last(a, index)
 
     def test_index_rows_scatter_adds(self):
         table = ad.Tensor(np.arange(10, dtype=np.float64).reshape(5, 2), requires_grad=True)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import memxl.autodiff as ad
+import memxl.model as model_module
 from conftest import tiny_config
-from memxl import MemoryLM, RngHub
+from memxl import MemoryLM, RngHub, relpos
 from memxl.attention import HeadAssignment
 from memxl.model import LayerMemory, LayerTrace, MemoryState, update_memory
 from test_attention import oracle_forward
@@ -168,6 +169,32 @@ class TestForwardSemantics:
         assert final.offsets.max() == 7
         np.testing.assert_array_equal(mems.layers[0].tags, [6, 7])
         assert mems.layers[0].staleness == 0
+
+    def test_layers_with_one_tag_layout_share_one_encoding(self, monkeypatch):
+        calls = []
+
+        def counting(offsets, d):
+            calls.append(offsets.shape)
+            return relpos.encode_offsets(offsets, d)
+
+        monkeypatch.setattr(model_module, "encode_offsets", counting)
+        model = fresh_model(n_layers=3, mem_len=4, block_len=2)
+        mems = model.init_memory(1)
+        _, mems = model.forward(np.array([1, 2]), mems)
+        calls.clear()
+
+        record: list[LayerTrace] = []
+        _, mems = model.forward(np.array([3, 4]), mems, record=record)
+        assert len(calls) == 1  # no skip: every cache holds tags 0, 1
+        _, mems = model.forward(np.array([5, 6]), mems, skip_mask=np.array([False, True, False]), record=record)
+        calls.clear()
+        _, mems = model.forward(np.array([7, 8]), mems, record=record)
+        assert len(calls) == 2  # layer 1's stale cache holds 0..3, the others 2..5
+        assert [t.staleness for t in record[-3:]] == [0, 1, 0]
+
+        q_tags = np.array([6, 7])
+        for trace, lm_tags in zip(record[-3:], ([2, 3, 4, 5], [0, 1, 2, 3], [2, 3, 4, 5])):
+            np.testing.assert_array_equal(trace.offsets, relpos.relative_offsets(q_tags, np.r_[lm_tags, q_tags]))
 
     def test_memory_window_slides_over_steps(self):
         model = fresh_model(mem_len=4, block_len=2)
