@@ -108,37 +108,61 @@ class LayerAttentionParams:
         ]
 
 
-def _project_heads(x: Tensor, w: Tensor) -> Tensor:
-    """[B, T, d] x [H, d_h, d] -> [B, H, T, d_h]."""
-    return ad.matmul(ad.reshape(x, (x.shape[0], 1, *x.shape[1:])), ad.transpose(w, (0, 2, 1)))
+def position_keys(enc: OffsetEncodings, w_kr: Tensor) -> Tensor:
+    """Each head's projection of the encoded offsets, [1, H, n, d_h]."""
+    return ad.project_heads(Tensor(enc.vectors[None].astype(w_kr.dtype, copy=False)), w_kr)
+
+
+@dataclass
+class ProjectedMemory:
+    """Keys and values of a layer's memory rows, [B, H, M, d_h] each.
+
+    They are projected with the layer's own heads: a cross-head assignment
+    permutes the query side only, so it never changes them.
+    """
+
+    keys: Tensor
+    values: Tensor
+
+    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of the memory rows followed by the block's."""
+        return ad.concat([self.keys, keys], axis=2), ad.concat([self.values, values], axis=2)
+
+
+def project_memory(rows: Tensor, params: LayerAttentionParams) -> ProjectedMemory:
+    """Keys and values of [B, M, d] normalised memory rows."""
+    return ProjectedMemory(ad.project_heads(rows, params.w_ke), ad.project_heads(rows, params.w_v))
 
 
 def attention_scores(
     queries_src: Tensor,
-    keys_src: Tensor,
+    keys: Tensor,
     enc: OffsetEncodings,
     params: LayerAttentionParams,
+    positions: Tensor | None = None,
 ) -> Tensor:
     """Masked four-term attention scores, [B, H, L, K], from [B, L, d]
-    queries and [B, K, d] keys.
+    queries and [B, H, K, d_h] projected keys.
 
-    Future keys are set to -inf; scores are scaled by 1/sqrt(d_head).
+    ``positions`` are the heads' position keys of ``enc`` (see
+    ``position_keys``), projected here when not given. Future keys are set
+    to -inf; scores are scaled by 1/sqrt(d_head).
     """
-    n_keys = keys_src.shape[1]
+    n_keys = keys.shape[2]
     if enc.n_keys != n_keys:
         raise RuntimeError(f"encoding count {enc.n_keys} does not match key count {n_keys}")
+    if positions is None:
+        positions = position_keys(enc, params.w_kr)
 
-    q = _project_heads(queries_src, params.w_q)           # [B, H, L, d_h]
-    ke = _project_heads(keys_src, params.w_ke)            # [B, H, K, d_h]
-    content = ad.matmul(ad.add(q, params.u), ad.transpose(ke, (0, 1, 3, 2)))
-
-    rel = Tensor(enc.vectors.astype(queries_src.dtype, copy=False))  # [n, d]
-    pos_proj = ad.matmul(ad.reshape(rel, (1, *rel.shape)), ad.transpose(params.w_kr, (0, 2, 1)))  # [H, n, d_h]
-    pos_all = ad.matmul(ad.add(q, params.v), ad.transpose(pos_proj, (0, 2, 1)))                   # [B, H, L, n]
-    position = ad.gather_last(pos_all, enc.index)
-
-    scale = 1.0 / np.sqrt(params.d_head)
-    scores = ad.mul(ad.add(content, position), ad._as_tensor(scale, queries_src.dtype))
+    q = ad.project_heads(queries_src, params.w_q)  # [B, H, L, d_h]
+    # Nested so that, under no_grad, each [B, H, L, K] temporary is freed
+    # as soon as the next op has read it; the [B, H, L, n] position scores
+    # of the distinct offsets are gathered before the content term exists.
+    scores = ad.add(
+        ad.gather_last(ad.matmul(ad.add(q, params.v), ad.transpose(positions, (0, 1, 3, 2))), enc.index),
+        ad.matmul(ad.add(q, params.u), ad.transpose(keys, (0, 1, 3, 2))),
+    )
+    scores = ad.mul(scores, ad._as_tensor(1.0 / np.sqrt(params.d_head), queries_src.dtype))
     return ad.masked_fill(scores, enc.future[None, None, :, :], -np.inf)
 
 
@@ -150,48 +174,49 @@ def attention_probs(scores: Tensor) -> Tensor:
     return ad.softmax(scores, axis=-1)
 
 
-def head_output(probs: Tensor, values_src: Tensor, params: LayerAttentionParams) -> Tensor:
-    """Probability-weighted value vectors, [B, H, L, d_h], from [B, H, L, K]
-    probabilities and [B, K, d] value sources."""
-    v = _project_heads(values_src, params.w_v)  # [B, H, K, d_h]
-    return ad.matmul(probs, v)
-
-
 def multi_head_forward(
     x_block: Tensor,
-    memory: Tensor | None,
+    memory: ProjectedMemory | None,
     enc: OffsetEncodings,
     params: LayerAttentionParams,
     sigma: HeadAssignment | None = None,
     prune: np.ndarray | None = None,
+    positions: Tensor | None = None,
 ) -> Tensor:
-    """Full attention sublayer body on [B, L, d] queries and [B, M, d]
-    memory: scores, softmax, per-head outputs, pruning, concatenation and
-    output projection. Returns [B, L, d].
+    """Full attention sublayer body on [B, L, d] queries: scores, softmax,
+    per-head outputs, pruning, concatenation and output projection.
+    Returns [B, L, d].
 
-    Under an active cross-head assignment, query head M reads the key,
-    position and value projections of head sigma(M); the permuted weights
-    are gathered once here and serve both the scores and the values.
+    ``memory`` holds the projected keys and values of the memory rows; it
+    may be any object whose ``extend`` appends the block's to them. The
+    block's own keys and values are projected here.
+
+    Under an active cross-head assignment, query head M reads the keys,
+    position keys and values of head N = sigma(M). Equivalently, key/value
+    head N serves query head sigma^-1(N): the query heads, the output
+    projection's head blocks and the prune mask are permuted by sigma^-1,
+    and keys, values and position keys stay those of the layer's own heads.
     """
-    keys_src = x_block if memory is None else ad.concat([memory, x_block], axis=1)
-    if sigma is not None and sigma.cross_active:
-        params = replace(
-            params,
-            w_ke=ad.index_rows(params.w_ke, sigma.sigma),
-            w_kr=ad.index_rows(params.w_kr, sigma.sigma),
-            w_v=ad.index_rows(params.w_v, sigma.sigma),
-        )
-
-    scores = attention_scores(x_block, keys_src, enc, params)
-    probs = attention_probs(scores)
-    heads = head_output(probs, keys_src, params)  # [B, H, L, d_h]
-
     if prune is not None:
         prune = np.asarray(prune, dtype=bool)
         if prune.shape != (params.n_heads,):
             raise ValueError(f"prune mask must have length {params.n_heads}, got {prune.shape}")
+    w_o_t = ad.transpose(params.w_o)  # [H * d_h, d]
+    if sigma is not None and sigma.cross_active:
+        inv = np.argsort(sigma.sigma)  # the query head each key/value head serves
+        params = replace(params, w_q=ad.index_rows(params.w_q, inv))
+        w_o_t = ad.index_rows(w_o_t, (inv[:, None] * params.d_head + np.arange(params.d_head)).ravel())
+        prune = None if prune is None else prune[inv]
+
+    keys = ad.project_heads(x_block, params.w_ke)  # [B, H, L, d_h]
+    values = ad.project_heads(x_block, params.w_v)
+    if memory is not None:
+        keys, values = memory.extend(keys, values)
+    probs = attention_probs(attention_scores(x_block, keys, enc, params, positions))
+    heads = ad.matmul(probs, values)  # [B, H, L, d_h]
+    if prune is not None:
         heads = ad.mul(heads, Tensor(prune[None, :, None, None].astype(heads.dtype)))
 
     batch, n_heads, length, d_head = heads.shape
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (batch, length, n_heads * d_head))
-    return ad.matmul(merged, ad.transpose(params.w_o))
+    return ad.matmul(merged, w_o_t)

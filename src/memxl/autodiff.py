@@ -35,6 +35,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether operations are being recorded for ``backward``."""
+    return _grad_enabled
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -133,11 +138,24 @@ def relu(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy leading-dimension broadcasting."""
+    """Matrix product with numpy leading-dimension broadcasting.
+
+    A 2-D right operand is one [N, k] @ [k, n] GEMM over every leading row
+    of ``a``, and its gradient is one [k, N] @ [N, n] GEMM.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+
+    if b.ndim == 2:
+        a2d = a.data.reshape(-1, a.shape[-1])
+
+        def vjp_flat(g):
+            g2d = g.reshape(-1, b.shape[1])
+            return (g2d @ b.data.T).reshape(a.shape), a2d.T @ g2d
+
+        return _make((a2d @ b.data).reshape(a.shape[:-1] + b.shape[1:]), (a, b), vjp_flat)
 
     def vjp(g):
         ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
@@ -237,8 +255,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     A ``-inf`` entry gets probability 0 and gradient exactly 0, so masked
     keys stay out of both passes. A row must hold at least one finite entry.
     """
-    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         return (p * (g - np.sum(g * p, axis=axis, keepdims=True)),)
@@ -263,6 +282,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
 
     return _make(normed * gain.data + bias.data, (x, gain, bias), vjp)
+
+
+def project_heads(x: Tensor, w: Tensor) -> Tensor:
+    """[..., T, d] rows through [H, d_h, d] per-head weights -> [..., H, T, d_h],
+    as one GEMM with the [H * d_h, d] view of ``w``."""
+    n_heads, d_head, d = w.shape
+    if x.shape[-1] != d or x.ndim < 2:
+        raise ValueError(f"project_heads needs [..., T, {d}] rows, got {x.shape}")
+    x2d = x.data.reshape(-1, d)
+    w2d = w.data.reshape(n_heads * d_head, d)
+    out = (x2d @ w2d.T).reshape(x.shape[:-1] + (n_heads, d_head))
+
+    def vjp(g):
+        g2d = g.swapaxes(-3, -2).reshape(-1, n_heads * d_head)
+        return (g2d @ w2d).reshape(x.shape), (g2d.T @ x2d).reshape(w.shape)
+
+    return _make(out.swapaxes(-3, -2), (x, w), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

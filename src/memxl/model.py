@@ -5,18 +5,21 @@ with their absolute positions; the next step's attention keys extend
 over those cached rows. A layer can be skipped for a step, in which case
 it passes its input through unchanged and keeps its cache as-is, growing
 the relative offsets its next update will see.
+
+Streaming evaluation runs under fixed parameters, so it caches each
+layer's projected keys and values instead of the raw rows (``StreamState``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attention import HeadAssignment, LayerAttentionParams, multi_head_forward
-from .relpos import block_tags, encode_offsets, relative_offsets
+from .attention import HeadAssignment, LayerAttentionParams, multi_head_forward, position_keys, project_memory
+from .relpos import OffsetEncodings, block_tags, encode_offsets, relative_offsets
 
 
 @dataclass
@@ -108,6 +111,12 @@ class LayerParams:
         return out
 
 
+def _newest_tags(tags: np.ndarray, step_tags, mem_len: int) -> np.ndarray:
+    """Tags of the newest ``mem_len`` rows of (``tags`` ++ ``step_tags``)."""
+    both = np.concatenate([tags, np.asarray(step_tags, dtype=np.int64)])
+    return both[max(0, len(both) - mem_len):]
+
+
 @dataclass
 class LayerMemory:
     """Cached input activations of one layer with their positions.
@@ -119,6 +128,13 @@ class LayerMemory:
     buffer: np.ndarray  # [B, rows, d], rows <= mem_len
     tags: np.ndarray    # [rows] absolute positions
     staleness: int = 0
+
+    def advanced(self, x, step_tags, mem_len: int) -> "LayerMemory":
+        """The newest ``mem_len`` rows of (buffer ++ detached ``x``)."""
+        data = x.data if isinstance(x, Tensor) else np.asarray(x)
+        tags = _newest_tags(self.tags, step_tags, mem_len)
+        buffer = np.concatenate([self.buffer, data], axis=1)
+        return LayerMemory(buffer=buffer[:, buffer.shape[1] - len(tags):, :], tags=tags)
 
 
 @dataclass
@@ -147,21 +163,96 @@ class MemoryState:
         )
 
 
-def update_memory(mem: LayerMemory, x, skipped: bool, step_tags: np.ndarray, mem_len: int) -> LayerMemory:
-    """Next cache state after one step.
+@dataclass
+class StreamLayer:
+    """One layer's memory in a stream: the projected keys and values of its
+    rows, in fixed [B, H, mem_len + block, d_h] buffers.
 
-    Skipped: buffer and tags unchanged (same arrays), staleness up one.
-    Executed: last ``mem_len`` rows of (old buffer ++ detached x), fresh
+    Rows [0, len(tags)) are memory. ``extend`` writes a block's keys and
+    values after them; ``advanced`` then shifts the newest rows to the
+    front. Both work in place.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    tags: np.ndarray  # [rows] absolute positions
+    staleness: int = 0
+
+    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of the memory rows followed by the block's."""
+        rows = len(self.tags)
+        end = rows + keys.shape[2]
+        self.keys[:, :, rows:end] = keys.data
+        self.values[:, :, rows:end] = values.data
+        return Tensor(self.keys[:, :, :end]), Tensor(self.values[:, :, :end])
+
+    def advanced(self, x, step_tags, mem_len: int) -> "StreamLayer":
+        """Keep the newest ``mem_len`` of the rows ``extend`` left; ``x`` is
+        not read, since the block's keys and values are already written."""
+        end = len(self.tags) + len(step_tags)
+        self.tags = _newest_tags(self.tags, step_tags, mem_len)
+        keep = len(self.tags)
+        if keep < end:
+            self.keys[:, :, :keep] = self.keys[:, :, end - keep : end]
+            self.values[:, :, :keep] = self.values[:, :, end - keep : end]
+        self.staleness = 0
+        return self
+
+
+@dataclass
+class _Layout:
+    """The offsets that one cache-tag layout gives a block, their encoding,
+    and, in a stream, each layer's position keys of that encoding."""
+
+    offsets: np.ndarray  # [L, K]
+    enc: OffsetEncodings
+    positions: dict[int, Tensor] = field(default_factory=dict)
+
+
+@dataclass
+class StreamState:
+    """Memory for streaming evaluation: what stays fixed from block to block
+    while the parameters do.
+
+    Each layer holds its projected memory keys and values (``StreamLayer``);
+    ``layouts`` holds the current block's tag layout with its offset
+    encoding and each layer's position keys. It is only valid while the
+    parameters do not change, so ``MemoryLM.forward`` takes it under
+    ``no_grad`` only, and advances it in place.
+    """
+
+    layers: list[StreamLayer]
+    mem_len: int
+    next_position: int = 0
+    layouts: dict[tuple, _Layout] = field(default_factory=dict)
+
+    @property
+    def batch(self) -> int:
+        return self.layers[0].keys.shape[0]
+
+    @staticmethod
+    def fresh(config: "ModelConfig", batch: int, mem_len: int, block_len: int) -> "StreamState":
+        shape = (batch, config.n_heads, mem_len + block_len, config.d_head)
+        return StreamState(
+            layers=[
+                StreamLayer(np.zeros(shape, config.dtype), np.zeros(shape, config.dtype), np.zeros(0, dtype=np.int64))
+                for _ in range(config.n_layers)
+            ],
+            mem_len=mem_len,
+        )
+
+
+def update_memory(mem, x, skipped: bool, step_tags: np.ndarray, mem_len: int):
+    """Next cache state after one step, for a ``LayerMemory`` or a
+    ``StreamLayer``.
+
+    Skipped: the same arrays and tags, staleness up one. Executed: the
+    newest ``mem_len`` rows of the old rows followed by this step's, fresh
     staleness. ``x`` holds the layer's input activations for this step.
     """
     if skipped:
-        return LayerMemory(buffer=mem.buffer, tags=mem.tags, staleness=mem.staleness + 1)
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if mem_len == 0:
-        return LayerMemory(buffer=mem.buffer[:, :0, :], tags=mem.tags[:0], staleness=0)
-    buffer = np.concatenate([mem.buffer, data], axis=1)[:, -mem_len:, :]
-    tags = np.concatenate([mem.tags, np.asarray(step_tags, dtype=np.int64)])[-mem_len:]
-    return LayerMemory(buffer=buffer, tags=tags, staleness=0)
+        return replace(mem, staleness=mem.staleness + 1)
+    return mem.advanced(x, step_tags, mem_len)
 
 
 @dataclass
@@ -231,21 +322,30 @@ class MemoryLM:
     def forward(
         self,
         tokens,
-        mems: MemoryState,
+        mems: MemoryState | StreamState,
         skip_mask: np.ndarray | None = None,
         assignments: list[HeadAssignment] | None = None,
         prune: np.ndarray | None = None,
         training: bool = False,
         dropout_rng: np.random.Generator | None = None,
         record: list[LayerTrace] | None = None,
-    ) -> tuple[Tensor, MemoryState]:
+    ) -> tuple[Tensor, MemoryState | StreamState]:
         """One block step: logits for each position plus the advanced memory.
 
         ``skip_mask`` (length N) marks layers that pass their input through
         untouched this step and keep their cache; ``assignments`` carries one
         head assignment per layer. Both default to the inactive case.
+
+        A ``MemoryState`` holds raw rows, which each call normalises and
+        projects again, with the graph attached; the call returns a new
+        state. A ``StreamState`` holds projections of the current
+        parameters, so it is accepted only under ``no_grad``; the call
+        advances it in place and returns it.
         """
         cfg = self.config
+        stream = isinstance(mems, StreamState)
+        if stream and ad.grad_enabled():
+            raise RuntimeError("a stream state holds projections of fixed parameters; use it under no_grad only")
         tokens = self._check_tokens(tokens)
         squeeze = tokens.ndim == 1
         if squeeze:
@@ -271,8 +371,12 @@ class MemoryLM:
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
         q_tags = block_tags(mems.next_position, length)
 
-        layouts = {}  # cache tags -> (offsets, encodings), shared by layers whose caches hold the same tags
-        new_layers: list[LayerMemory] = []
+        # One entry per tag layout, keyed on the block length and the cache
+        # tags relative to the block; layers whose caches hold the same tags
+        # share it, and a stream keeps the current block's for the next.
+        kept = mems.layouts if stream else {}
+        layouts: dict[tuple, _Layout] = {}
+        new_layers = []
         for i, (lp, lm) in enumerate(zip(self.layers, mems.layers)):
             if skip_mask[i]:
                 new_layers.append(update_memory(lm, h, True, q_tags, mems.mem_len))
@@ -281,20 +385,32 @@ class MemoryLM:
                 continue
 
             layer_input = h
-            layout = lm.tags.tobytes()
-            if layout not in layouts:
-                offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
-                layouts[layout] = offsets, encode_offsets(offsets, cfg.d_model)
-            offsets, enc = layouts[layout]
+            key = (length, (lm.tags - mems.next_position).tobytes())
+            if key not in layouts:
+                if key in kept:
+                    layouts[key] = kept.pop(key)
+                else:
+                    kept.clear()  # free a stream's previous layout before building this one
+                    offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
+                    layouts[key] = _Layout(offsets, encode_offsets(offsets, cfg.d_model))
+            layout = layouts[key]
             if record is not None:
-                record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=offsets))
+                record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=layout.offsets))
 
             x_n = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
-            mem_n = None
-            if lm.buffer.shape[1] > 0:
-                mem_n = ad.layer_norm(Tensor(lm.buffer.astype(cfg.dtype, copy=False)), lp.ln_attn_g, lp.ln_attn_b)
+            if stream:
+                memory = lm
+                if i not in layout.positions:
+                    layout.positions[i] = position_keys(layout.enc, lp.attn.w_kr)
+                positions = layout.positions[i]
+            else:
+                memory = positions = None
+                if lm.buffer.shape[1] > 0:
+                    rows = Tensor(lm.buffer.astype(cfg.dtype, copy=False))
+                    memory = project_memory(ad.layer_norm(rows, lp.ln_attn_g, lp.ln_attn_b), lp.attn)
             sigma = assignments[i] if assignments is not None else None
-            attn = multi_head_forward(x_n, mem_n, enc, lp.attn, sigma, prune[i] if prune is not None else None)
+            prune_i = prune[i] if prune is not None else None
+            attn = multi_head_forward(x_n, memory, layout.enc, lp.attn, sigma, prune_i, positions)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 
@@ -312,8 +428,10 @@ class MemoryLM:
         if squeeze:
             logits = ad.reshape(logits, logits.shape[1:])
 
-        new_state = MemoryState(layers=new_layers, mem_len=mems.mem_len, next_position=mems.next_position + length)
-        return logits, new_state
+        if stream:
+            mems.layers, mems.layouts, mems.next_position = new_layers, layouts, mems.next_position + length
+            return logits, mems
+        return logits, MemoryState(layers=new_layers, mem_len=mems.mem_len, next_position=mems.next_position + length)
 
     def _check_prune(self, prune):
         if prune is None:

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .attention import sample_head_assignment
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Batches, Vocabulary, batchify
-from .model import LayerMemory, MemoryLM, MemoryState, ModelConfig
+from .model import LayerMemory, MemoryLM, MemoryState, ModelConfig, StreamState
 from .optim import AdamState, adam_update, clip_global_norm, cosine_lr
 from .rng import RngHub
 from .skip import PhaseController, SkipSchedule, sample_skip_mask
@@ -98,6 +98,11 @@ def evaluate(
     """Stream a split in ``eval_block`` chunks with recurrent memory sized
     ``eval_context - eval_block`` and average NLL over every scored token.
 
+    The memory is a ``StreamState``: from block to block it carries each
+    layer's projected memory keys and values and the current tag layout's
+    offset encoding and position keys, which cannot change while the
+    parameters are fixed. It lives for this call only.
+
     Deterministic: no skipping, no head resampling, no dropout.
     """
     ids = np.asarray(ids)
@@ -113,7 +118,7 @@ def evaluate(
     if prune is not None and not np.asarray(prune, dtype=bool).any(axis=-1).all():
         raise ValueError("every layer needs at least one unpruned head to report perplexity")
 
-    mems = model.init_memory(batch=1, mem_len=eval_context - eval_block)
+    mems = StreamState.fresh(model.config, 1, eval_context - eval_block, eval_block)
     total = 0.0
     with ad.no_grad():
         for start in range(0, n_scored, eval_block):

@@ -53,7 +53,9 @@ def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None, 
     offsets = relative_offsets(query_tags, key_tags)
     enc = encode_offsets(offsets, x_block.shape[-1])
     x_t = ad.Tensor(x_block.reshape(-1, *x_block.shape[-2:]))
-    mem_t = ad.Tensor(memory.reshape(-1, *memory.shape[-2:])) if memory is not None and len(memory) else None
+    mem_t = None
+    if memory is not None and len(memory):
+        mem_t = attention.project_memory(ad.Tensor(memory.reshape(-1, *memory.shape[-2:])), params)
     out = attention.multi_head_forward(x_t, mem_t, enc, params, assignment, prune)
     return ad.reshape(out, x_block.shape)
 
@@ -169,7 +171,8 @@ class TestScores:
         q_tags = np.arange(4)
         offsets = relative_offsets(q_tags, q_tags)
         enc = encode_offsets(offsets, 6)
-        probs = attention.attention_probs(attention.attention_scores(x, x, enc, params)).data[0]
+        keys = ad.project_heads(x, params.w_ke)
+        probs = attention.attention_probs(attention.attention_scores(x, keys, enc, params)).data[0]
         for i in range(4):
             for j in range(4):
                 if j > i:
@@ -186,13 +189,14 @@ class TestScores:
         keys = rng.standard_normal((1, 4, d_model))
         enc = encode_offsets(relative_offsets([3], np.arange(4)), d_model)
 
-        base = attention.attention_scores(ad.Tensor(queries), ad.Tensor(keys), enc, params).data
+        keys = ad.project_heads(ad.Tensor(keys), params.w_ke)
+        base = attention.attention_scores(ad.Tensor(queries), keys, enc, params).data
 
         scaled_params = LayerAttentionParams(
             w_q=ad.Tensor(params.w_q.data / c), w_ke=params.w_ke, w_kr=params.w_kr,
             w_v=params.w_v, w_o=params.w_o, u=params.u, v=params.v,
         )
-        rescaled = attention.attention_scores(ad.Tensor(queries * c), ad.Tensor(keys), enc, scaled_params).data
+        rescaled = attention.attention_scores(ad.Tensor(queries * c), keys, enc, scaled_params).data
         np.testing.assert_allclose(rescaled, base, rtol=1e-12, atol=1e-14)
 
     def test_encoding_count_mismatch_rejected(self, rng):
@@ -200,7 +204,7 @@ class TestScores:
         x = ad.Tensor(rng.standard_normal((1, 4, 6)))
         enc = encode_offsets(relative_offsets(np.arange(4), np.arange(3)), 6)
         with pytest.raises(RuntimeError, match="does not match key count"):
-            attention.attention_scores(x, x, enc, params)
+            attention.attention_scores(x, ad.project_heads(x, params.w_ke), enc, params)
 
     def test_fully_masked_row_rejected(self):
         scores = ad.Tensor(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))

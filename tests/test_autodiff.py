@@ -134,6 +134,64 @@ class TestMatmul:
         np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [a_np, b_np], 1), atol=1e-7)
         np.testing.assert_allclose(a.grad, numeric_grad(loss_fn, [a_np, b_np], 0), atol=1e-7)
 
+    @pytest.mark.parametrize("lead", [(3,), (2, 3), (2, 2, 3)], ids=["2d", "3d", "4d"])
+    def test_2d_right_operand_matches_broadcasting_formula(self, rng, lead):
+        """A 2-D right operand runs one flat GEMM; its forward and VJP equal
+        numpy's broadcasting matmul and the per-batch sum of a^T g."""
+        a_np = rng.standard_normal((*lead, 4))
+        b_np = rng.standard_normal((4, 5))
+        w_np = rng.standard_normal((*lead, 5))
+        a = ad.Tensor(a_np, requires_grad=True)
+        b = ad.Tensor(b_np, requires_grad=True)
+        out = ad.matmul(a, b)
+        np.testing.assert_allclose(out.data, np.matmul(a_np, b_np), rtol=1e-13)
+        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(w_np))))
+
+        ga = np.matmul(w_np, b_np.T)
+        gb = np.matmul(np.swapaxes(a_np, -1, -2), w_np).reshape(-1, 4, 5).sum(axis=0)
+        np.testing.assert_allclose(a.grad, ga, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(b.grad, gb, rtol=1e-12, atol=1e-14)
+
+        def loss_fn(a, b):
+            return float(np.sum(np.matmul(a, b) * w_np))
+
+        np.testing.assert_allclose(a.grad, numeric_grad(loss_fn, [a_np, b_np], 0), atol=1e-7)
+        np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [a_np, b_np], 1), atol=1e-7)
+
+
+class TestProjectHeads:
+    """One node: [..., T, d] rows through [H, d_h, d] weights by a single GEMM."""
+
+    def test_matches_per_head_formula_and_central_differences(self, rng):
+        x_np = rng.standard_normal((2, 3, 5))
+        w_np = rng.standard_normal((4, 2, 5))
+        g_np = rng.standard_normal((2, 4, 3, 2))
+        x = ad.Tensor(x_np, requires_grad=True)
+        w = ad.Tensor(w_np, requires_grad=True)
+        out = ad.project_heads(x, w)
+        assert out._parents == (x, w)
+        want = np.matmul(x_np[:, None], w_np.transpose(0, 2, 1))  # [B, 1, T, d] @ [H, d, d_h]
+        np.testing.assert_allclose(out.data, want, rtol=1e-13)
+        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g_np))))
+
+        def loss_fn(x, w):
+            return float(np.sum(np.matmul(x[:, None], w.transpose(0, 2, 1)) * g_np))
+
+        np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, w_np], 0), atol=1e-7)
+        np.testing.assert_allclose(w.grad, numeric_grad(loss_fn, [x_np, w_np], 1), atol=1e-7)
+
+    def test_float32_stays_float32(self, rng):
+        x = ad.Tensor(rng.standard_normal((1, 3, 4)).astype(np.float32), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
+        out = ad.project_heads(x, w)
+        assert out.dtype == np.float32
+        ad.backward(ad.sum_(out))
+        assert x.grad.dtype == w.grad.dtype == np.float32
+
+    def test_rejects_mismatched_width(self):
+        with pytest.raises(ValueError, match="project_heads"):
+            ad.project_heads(ad.Tensor(np.zeros((1, 3, 4))), ad.Tensor(np.zeros((2, 3, 5))))
+
 
 class TestShapeOps:
     def test_transpose_reshape_grads(self, rng):

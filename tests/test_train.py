@@ -4,10 +4,13 @@ import re
 import numpy as np
 import pytest
 
+import memxl.autodiff as ad
+import memxl.model as model_module
 from conftest import PANGRAM_TEXT, tiny_config
 from memxl import MemoryLM, RngHub, SkipSchedule, TrainConfig, Trainer, train
 from memxl.checkpoint import load_checkpoint, save_checkpoint
 from memxl.data import batchify, corpus_from_text
+from memxl.model import StreamState
 from memxl.skip import PHASE_SKIP_RETAIN, PHASE_VANILLA
 from memxl.train import LOG_HEADER, EvalReport, evaluate, load_model, save_model
 
@@ -88,6 +91,142 @@ class TestEvaluate:
         with_memory = evaluate(model, ids, eval_context=32, eval_block=16)
         no_memory = evaluate(model, ids, eval_context=16, eval_block=16)
         assert with_memory.nll <= no_memory.nll + 0.02
+
+
+def reference_nll(model, ids, eval_context, eval_block, prune=None):
+    """Streaming NLL from MemoryLM.forward over a plain MemoryState, which
+    normalises and projects every memory row again on every block."""
+    n_scored = len(ids) - 1
+    mems = model.init_memory(batch=1, mem_len=eval_context - eval_block)
+    total = 0.0
+    with ad.no_grad():
+        for start in range(0, n_scored, eval_block):
+            stop = min(start + eval_block, n_scored)
+            logits, mems = model.forward(ids[start:stop][None, :], mems, prune=prune)
+            total += float(ad.cross_entropy(logits, ids[start + 1 : stop + 1][None, :]).data) * (stop - start)
+    return total / n_scored
+
+
+def stream_layouts(n_scored, eval_context, eval_block):
+    """(memory rows, block length) of each block of a stream."""
+    mem_len = eval_context - eval_block
+    starts = range(0, n_scored, eval_block)
+    return [(min(start, mem_len), min(eval_block, n_scored - start)) for start in starts]
+
+
+class TestStreamingEvaluation:
+    """evaluate carries projected memory keys and values, the offset encoding
+    and the position keys across blocks; it must score exactly like the
+    plain forward loop."""
+
+    @pytest.mark.parametrize(
+        "n_ids, context, block, dtype, prune",
+        [
+            (61, 16, 4, "float64", None),            # memory fills over 3 blocks, then stays full
+            (59, 16, 4, "float64", None),            # short last block of 2 tokens
+            (41, 4, 4, "float64", None),             # context == block: no memory
+            (50, 12, 4, "float64", [[True, False], [False, True]]),
+            (61, 16, 4, "float32", None),
+        ],
+        ids=["fill_then_full", "short_last_block", "no_memory", "pruned", "float32"],
+    )
+    def test_matches_plain_forward_loop(self, n_ids, context, block, dtype, prune):
+        model = MemoryLM(tiny_config(param_dtype=dtype), RngHub(0)["init"])
+        ids = make_ids(n_ids)
+        prune = None if prune is None else np.array(prune)
+        got = evaluate(model, ids, context, block, prune=prune).nll
+        assert got == reference_nll(model, ids, context, block, prune)
+
+    def test_one_token_blocks_match_to_rounding(self):
+        """A one-row projection runs as a matrix-vector product, which rounds
+        differently from the matrix product that projects the same row as
+        memory, so only the summation bound n * eps * nll holds here."""
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        ids = make_ids(21)
+        got, want = evaluate(model, ids, 4, 1).nll, reference_nll(model, ids, 4, 1)
+        assert abs(got - want) <= 20 * np.finfo(np.float64).eps * want
+
+    def test_trained_model_matches_plain_forward_loop(self, trained_lm):
+        model, ids = trained_lm
+        ids = ids[:300]
+        for context in (48, 16):
+            assert evaluate(model, ids, context, 16).nll == reference_nll(model, ids, context, 16)
+
+    @pytest.mark.parametrize("name", ["layers.0.attn.w_ke", "layers.1.attn.w_kr", "layers.0.ln_attn_g"])
+    def test_parameter_edit_between_evaluations_is_seen(self, tmp_path, name):
+        """Nothing cached survives an evaluate call: after an in-place edit
+        of a parameter whose projection a stream keeps, the next evaluate
+        equals that of a freshly loaded copy with the same edit."""
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        ids = make_ids(61)
+        save_model(tmp_path / "m.ckpt", model)
+        before = evaluate(model, ids, 16, 4).nll
+
+        def edit(m):
+            with ad.no_grad():
+                dict(m.named_parameters())[name].data.reshape(-1)[:3] += 0.5
+
+        edit(model)
+        after = evaluate(model, ids, 16, 4).nll
+        clone, _ = load_model(tmp_path / "m.ckpt")
+        edit(clone)
+        assert after != before
+        assert after == evaluate(clone, ids, 16, 4).nll
+
+    def test_stream_state_refused_while_recording_gradients(self):
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        stream = StreamState.fresh(model.config, 1, 4, 4)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            model.forward(np.array([1, 2, 3, 4]), stream)
+        with ad.no_grad():
+            _, advanced = model.forward(np.array([1, 2, 3, 4]), stream)
+        assert advanced is stream and stream.next_position == 4
+        np.testing.assert_array_equal(stream.layers[0].tags, [0, 1, 2, 3])
+
+    def test_calls_that_the_benchmark_times_and_traces(self, monkeypatch):
+        """One MemoryLM.forward per block; per block, update_memory once per
+        layer with ``skipped`` as its third positional argument and a result
+        with ``.staleness``; encode_offsets, looked up on memxl.model, once
+        per change of tag layout, returning ``.offsets``."""
+        calls = {"forward": 0, "update": [], "encode": 0, "attention": 0}
+        forward, update, encode, attend = (
+            model_module.MemoryLM.forward, model_module.update_memory,
+            model_module.encode_offsets, model_module.multi_head_forward,
+        )
+
+        def counting_forward(self, *args, **kwargs):
+            calls["forward"] += 1
+            return forward(self, *args, **kwargs)
+
+        def counting_update(*args, **kwargs):
+            out = update(*args, **kwargs)
+            calls["update"].append((args[2], out.staleness))
+            return out
+
+        def counting_encode(*args, **kwargs):
+            calls["encode"] += 1
+            out = encode(*args, **kwargs)
+            assert out.offsets.max() == args[0].max()
+            return out
+
+        def counting_attention(*args, **kwargs):
+            calls["attention"] += 1
+            return attend(*args, **kwargs)
+
+        monkeypatch.setattr(model_module.MemoryLM, "forward", counting_forward)
+        monkeypatch.setattr(model_module, "update_memory", counting_update)
+        monkeypatch.setattr(model_module, "encode_offsets", counting_encode)
+        monkeypatch.setattr(model_module, "multi_head_forward", counting_attention)
+        model = MemoryLM(tiny_config(n_layers=3), RngHub(0)["init"])
+        ids = make_ids(59)
+        evaluate(model, ids, 16, 4)
+
+        layouts = stream_layouts(58, 16, 4)
+        changes = 1 + sum(a != b for a, b in zip(layouts, layouts[1:]))
+        assert calls["forward"] == len(layouts) == math.ceil(58 / 4)
+        assert calls["update"] == [(False, 0)] * (3 * len(layouts))
+        assert calls["attention"] == 3 * len(layouts)
+        assert calls["encode"] == changes == 5  # memory of 0, 4, 8 and 12 rows, then the short last block
 
 
 class TestTrainerLoop:
