@@ -134,46 +134,6 @@ def project_memory(rows: Tensor, params: LayerAttentionParams) -> ProjectedMemor
     return ProjectedMemory(ad.project_heads(rows, params.w_ke), ad.project_heads(rows, params.w_v))
 
 
-def attention_scores(
-    queries_src: Tensor,
-    keys: Tensor,
-    enc: OffsetEncodings,
-    params: LayerAttentionParams,
-    positions: Tensor | None = None,
-) -> Tensor:
-    """Masked four-term attention scores, [B, H, L, K], from [B, L, d]
-    queries and [B, H, K, d_h] projected keys.
-
-    ``positions`` are the heads' position keys of ``enc`` (see
-    ``position_keys``), projected here when not given. Future keys are set
-    to -inf; scores are scaled by 1/sqrt(d_head).
-    """
-    n_keys = keys.shape[2]
-    if enc.n_keys != n_keys:
-        raise RuntimeError(f"encoding count {enc.n_keys} does not match key count {n_keys}")
-    if positions is None:
-        positions = position_keys(enc, params.w_kr)
-
-    q = ad.project_heads(queries_src, params.w_q)  # [B, H, L, d_h]
-    # Nested so that, under no_grad, each [B, H, L, K] temporary is freed
-    # as soon as the next op has read it; the [B, H, L, n] position scores
-    # of the distinct offsets are gathered before the content term exists.
-    scores = ad.add(
-        ad.gather_last(ad.matmul(ad.add(q, params.v), ad.transpose(positions, (0, 1, 3, 2))), enc.index),
-        ad.matmul(ad.add(q, params.u), ad.transpose(keys, (0, 1, 3, 2))),
-    )
-    scores = ad.mul(scores, ad._as_tensor(1.0 / np.sqrt(params.d_head), queries_src.dtype))
-    return ad.masked_fill(scores, enc.future[None, None, :, :], -np.inf)
-
-
-def attention_probs(scores: Tensor) -> Tensor:
-    """Softmax over keys; masked entries must already be -inf."""
-    finite_any = np.isfinite(scores.data).any(axis=-1)
-    if not finite_any.all():
-        raise RuntimeError("attention row with no attendable key; a token always attends to itself")
-    return ad.softmax(scores, axis=-1)
-
-
 def multi_head_forward(
     x_block: Tensor,
     memory: ProjectedMemory | None,
@@ -183,9 +143,9 @@ def multi_head_forward(
     prune: np.ndarray | None = None,
     positions: Tensor | None = None,
 ) -> Tensor:
-    """Full attention sublayer body on [B, L, d] queries: scores, softmax,
-    per-head outputs, pruning, concatenation and output projection.
-    Returns [B, L, d].
+    """Full attention sublayer body on [B, L, d] queries: head projections,
+    the fused attention core (scores, softmax and per-head outputs in one
+    node), pruning, concatenation and output projection. Returns [B, L, d].
 
     ``memory`` holds the projected keys and values of the memory rows; it
     may be any object whose ``extend`` appends the block's to them. The
@@ -212,8 +172,10 @@ def multi_head_forward(
     values = ad.project_heads(x_block, params.w_v)
     if memory is not None:
         keys, values = memory.extend(keys, values)
-    probs = attention_probs(attention_scores(x_block, keys, enc, params, positions))
-    heads = ad.matmul(probs, values)  # [B, H, L, d_h]
+    if positions is None:
+        positions = position_keys(enc, params.w_kr)
+    q = ad.project_heads(x_block, params.w_q)
+    heads = ad.attention_core(q, keys, values, positions, params.u, params.v, enc)  # [B, H, L, d_h]
     if prune is not None:
         heads = ad.mul(heads, Tensor(prune[None, :, None, None].astype(heads.dtype)))
 

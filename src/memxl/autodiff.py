@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _grad_enabled = True
 
@@ -97,12 +98,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x, dtype=np.float64) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
@@ -195,46 +190,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, a.shape).copy(),)
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
-
-
-def masked_fill(a: Tensor, fill_mask: np.ndarray, value: float) -> Tensor:
-    """Overwrite positions where ``fill_mask`` is True with ``value`` (no grad there)."""
-    mask = np.broadcast_to(fill_mask, a.shape)
-
-    def vjp(g):
-        return (np.where(mask, 0.0, g),)
-
-    return _make(np.where(mask, value, a.data), (a,), vjp)
-
-
-def gather_last(a: Tensor, index: np.ndarray) -> Tensor:
-    """out[..., r, k] = a[..., r, index[r, k]] for ``a`` of shape [..., R, n].
-
-    The [R, K] ``index`` is shared by every leading axis. Backward sums
-    with one weighted bincount, so repeated indices accumulate.
-    """
-    if index.ndim != 2 or a.ndim < 2 or index.shape[0] != a.shape[-2]:
-        raise ValueError(f"index must be [R, K] with R = a.shape[-2]; got {index.shape} for a of shape {a.shape}")
-    rows, n = a.shape[-2:]
-    flat = (np.arange(rows)[:, None] * n + index).ravel()  # into one [R * n] slab
-    out_data = np.take(a.data.reshape(-1, rows * n), flat, axis=1).reshape(a.shape[:-1] + index.shape[1:])
-
-    def vjp(g):
-        slabs = (np.arange(0, a.size, rows * n)[:, None] + flat).ravel()  # every slab of the leading axes
-        ga = np.bincount(slabs, weights=g.ravel(), minlength=a.size)
-        return (ga.astype(g.dtype, copy=False).reshape(a.shape),)
-
-    return _make(out_data, (a,), vjp)
-
-
 def index_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """out = table[ids]; backward scatter-adds into the indexed rows."""
     ids = np.asarray(ids)
@@ -299,6 +254,107 @@ def project_heads(x: Tensor, w: Tensor) -> Tensor:
         return (g2d @ w2d).reshape(x.shape), (g2d.T @ x2d).reshape(w.shape)
 
     return _make(out.swapaxes(-3, -2), (x, w), vjp)
+
+
+def _relative_shift(grid: np.ndarray, length: int, n_keys: int) -> np.ndarray:
+    """The [..., L, K] view of a [..., L, K + L - 1] ``grid`` whose entry
+    (i, j) is grid[..., i, L - 1 - i + j]: each row starts one column to the
+    left of the row above (Transformer-XL's relative shift, as strides)."""
+    *lead, row, col = grid.strides
+    return as_strided(grid[..., length - 1:], grid.shape[:-1] + (n_keys,), (*lead, row - col, col))
+
+
+def _gather_last(a: np.ndarray, index: np.ndarray):
+    """out[..., r, k] = a[..., r, index[r, k]] for ``a`` of shape [..., R, n],
+    and the map that sends a gradient of ``out`` back onto ``a``.
+
+    The [R, K] ``index`` is shared by every leading axis. The gather is one
+    flat ``np.take`` and the scatter one weighted bincount, so repeated
+    indices accumulate.
+    """
+    if index.ndim != 2 or a.ndim < 2 or index.shape[0] != a.shape[-2]:
+        raise ValueError(f"index must be [R, K] with R = a.shape[-2]; got {index.shape} for a of shape {a.shape}")
+    shape, size = a.shape, a.size
+    rows, n = shape[-2:]
+    flat = (np.arange(rows)[:, None] * n + index).ravel()  # into one [R * n] slab
+    out = np.take(a.reshape(-1, rows * n), flat, axis=1).reshape(shape[:-1] + index.shape[1:])
+
+    def scatter(g):
+        slabs = (np.arange(0, size, rows * n)[:, None] + flat).ravel()  # every slab of the leading axes
+        return np.bincount(slabs, weights=g.ravel(), minlength=size).astype(g.dtype, copy=False).reshape(shape)
+
+    return out, scatter
+
+
+def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout) -> Tensor:
+    """Relative-position attention of [B, H, L, d_h] queries over [B, H, K, d_h]
+    keys and values: the per-head outputs softmax(S) @ values, [B, H, L, d_h],
+    with
+
+        S[i, j] = ((q_i + u) . k_j + (q_i + v) . r_ij) / sqrt(d_h)
+
+    where r_ij is the row of the [1, H, n, d_h] position keys for the offset of
+    query i to key j. ``layout`` is the ``relpos.OffsetEncodings`` of those
+    offsets. The last L keys are the queries' own, so the future slots are
+    the trailing [L, L] upper triangle; they get -inf.
+
+    A contiguous layout reads the position scores as a strided view of
+    (q + v) @ P_ext^T (``_relative_shift``); any other gathers them through
+    ``layout.index``. Both give the same numbers. The VJP uses
+    rowsum(dP * P) = rowsum(dO * O) (FlashAttention), so the softmax backward
+    needs no second [B, H, L, K] array.
+    """
+    length, n_keys, d_head = q.shape[-2], keys.shape[-2], q.shape[-1]
+    if layout.index.shape != (length, n_keys):
+        raise ValueError(f"encoding slots {layout.index.shape} do not match {length} queries by {n_keys} keys")
+    scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
+    qu, qv = q.data + u.data, q.data + v.data
+    if layout.contiguous:
+        # position keys of offsets K-1 .. 0, then L-1 zero rows for the future slots
+        rows = np.zeros(positions.shape[:-2] + (n_keys + length - 1, d_head), q.dtype)
+        rows[..., :n_keys, :] = positions.data[..., ::-1, :]
+        pos = _relative_shift(np.matmul(qv, rows.swapaxes(-1, -2)), length, n_keys)
+    else:
+        rows = positions.data
+        pos, scatter = _gather_last(np.matmul(qv, rows.swapaxes(-1, -2)), layout.index)
+    p = np.matmul(qu, keys.data.swapaxes(-1, -2))
+    p += pos
+    p *= scale
+    np.copyto(p[..., n_keys - length:], -np.inf, where=layout.future[:, n_keys - length:])
+    peak = p.max(axis=-1, keepdims=True)
+    if not np.isfinite(peak).all() and not np.isfinite(p).any(axis=-1).all():
+        raise RuntimeError("attention row with no attendable key; a token always attends to itself")
+    p -= peak
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, values.data)
+
+    def vjp(g):
+        ds = np.matmul(g, values.data.swapaxes(-1, -2))
+        ds -= np.sum(g * out, axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        if layout.contiguous:
+            gpos = np.zeros(ds.shape[:-1] + (n_keys + length - 1,), ds.dtype)
+            _relative_shift(gpos, length, n_keys)[...] = ds
+            gpos = gpos[..., :n_keys]  # the columns past K hold future slots, whose gradient is 0
+            gqv = np.matmul(gpos, rows[..., :n_keys, :])
+            grows = np.matmul(gpos.swapaxes(-1, -2), qv)[..., ::-1, :]
+        else:
+            gpos = scatter(ds)
+            gqv = np.matmul(gpos, rows)
+            grows = np.matmul(gpos.swapaxes(-1, -2), qv)
+        gqu = np.matmul(ds, keys.data)
+        return (
+            gqu + gqv,
+            _unbroadcast(np.matmul(ds.swapaxes(-1, -2), qu), keys.shape),
+            _unbroadcast(np.matmul(p.swapaxes(-1, -2), g), values.shape),
+            _unbroadcast(grows, positions.shape),
+            _unbroadcast(gqu, u.shape),
+            _unbroadcast(gqv, v.shape),
+        )
+
+    return _make(out, (q, keys, values, positions, u, v), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -50,16 +50,18 @@ class OffsetEncodings:
     ``index`` maps each (query, key) slot to a row of ``vectors``; future
     slots point at row 0 and are flagged in ``future`` for masking.
     Vectors depend only on the offset value, never on layer or step.
+
+    ``contiguous`` holds when the key tags are one run ending at the last
+    query's: then offset (i, j) is K - L + i - j and the distinct offsets
+    are 0 .. K-1, so attention can read its position scores through a
+    relative shift instead of a gather.
     """
 
     offsets: np.ndarray  # [n] distinct offsets, ascending
     vectors: np.ndarray  # [n, d]
     index: np.ndarray    # [L, K] into vectors
     future: np.ndarray   # [L, K] bool, True where key is in the future
-
-    @property
-    def n_keys(self) -> int:
-        return self.index.shape[1]
+    contiguous: bool
 
 
 def encode_offsets(offsets: np.ndarray, d: int) -> OffsetEncodings:
@@ -69,9 +71,11 @@ def encode_offsets(offsets: np.ndarray, d: int) -> OffsetEncodings:
     present = np.where(future, 0, offsets)
     uniq = np.unique(present)
     index = np.searchsorted(uniq, present)
+    length, n_keys = offsets.shape
     return OffsetEncodings(
         offsets=uniq,
         vectors=pe_matrix(uniq, d),
         index=index,
         future=future,
+        contiguous=np.array_equal(offsets, np.arange(n_keys - length, n_keys)[:, None] - np.arange(n_keys)),
     )

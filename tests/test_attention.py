@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import memxl.autodiff as ad
 from memxl import attention
 from memxl.attention import HeadAssignment, LayerAttentionParams, sample_head_assignment
 from memxl.relpos import encode_offsets, relative_offsets
+
+from helpers import sum_
 
 
 def pe_vec(r: int, d: int) -> np.ndarray:
@@ -77,6 +81,18 @@ class TestForwardOracle:
         mem_tags = np.arange(0, 3)
         q_tags = np.arange(3, 7)
         key_tags = np.concatenate([mem_tags, q_tags])
+        got = run_forward(x, mem, q_tags, key_tags, params)
+        want = oracle_forward(x, mem, q_tags, key_tags, params, sigma=None)
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
+
+    def test_matches_loop_oracle_with_stale_memory(self, rng):
+        # gaps in the key tags: the memory's rows are older than the block before
+        params = make_params(rng)
+        mem = rng.standard_normal((3, 6))
+        x = rng.standard_normal((4, 6))
+        q_tags = np.arange(9, 13)
+        key_tags = np.concatenate([[1, 2, 5], q_tags])
+        assert not encode_offsets(relative_offsets(q_tags, key_tags), 6).contiguous
         got = run_forward(x, mem, q_tags, key_tags, params)
         want = oracle_forward(x, mem, q_tags, key_tags, params, sigma=None)
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
@@ -164,6 +180,14 @@ class TestPruning:
             run_forward(x, None, np.arange(3), np.arange(3), params, prune=np.ones(2, dtype=bool))
 
 
+def core_probs(x, keys, enc, params):
+    """Attention probabilities, [B, H, L, K], of [B, L, d] rows over [B, H, K, d_h]
+    projected keys: the fused core's output for identity values."""
+    eye = ad.Tensor(np.broadcast_to(np.eye(keys.shape[2]), keys.shape[:2] + (keys.shape[2],) * 2))
+    q = ad.project_heads(x, params.w_q)
+    return ad.attention_core(q, keys, eye, attention.position_keys(enc, params.w_kr), params.u, params.v, enc).data
+
+
 class TestScores:
     def test_future_keys_get_zero_probability(self, rng):
         params = make_params(rng)
@@ -172,7 +196,7 @@ class TestScores:
         offsets = relative_offsets(q_tags, q_tags)
         enc = encode_offsets(offsets, 6)
         keys = ad.project_heads(x, params.w_ke)
-        probs = attention.attention_probs(attention.attention_scores(x, keys, enc, params)).data[0]
+        probs = core_probs(x, keys, enc, params)[0]
         for i in range(4):
             for j in range(4):
                 if j > i:
@@ -190,26 +214,31 @@ class TestScores:
         enc = encode_offsets(relative_offsets([3], np.arange(4)), d_model)
 
         keys = ad.project_heads(ad.Tensor(keys), params.w_ke)
-        base = attention.attention_scores(ad.Tensor(queries), keys, enc, params).data
+        base = core_probs(ad.Tensor(queries), keys, enc, params)
 
         scaled_params = LayerAttentionParams(
             w_q=ad.Tensor(params.w_q.data / c), w_ke=params.w_ke, w_kr=params.w_kr,
             w_v=params.w_v, w_o=params.w_o, u=params.u, v=params.v,
         )
-        rescaled = attention.attention_scores(ad.Tensor(queries * c), keys, enc, scaled_params).data
+        rescaled = core_probs(ad.Tensor(queries * c), keys, enc, scaled_params)
         np.testing.assert_allclose(rescaled, base, rtol=1e-12, atol=1e-14)
 
     def test_encoding_count_mismatch_rejected(self, rng):
         params = make_params(rng)
         x = ad.Tensor(rng.standard_normal((1, 4, 6)))
         enc = encode_offsets(relative_offsets(np.arange(4), np.arange(3)), 6)
-        with pytest.raises(RuntimeError, match="does not match key count"):
-            attention.attention_scores(x, ad.project_heads(x, params.w_ke), enc, params)
+        with pytest.raises(ValueError, match="do not match 4 queries by 4 keys"):
+            core_probs(x, ad.project_heads(x, params.w_ke), enc, params)
 
     def test_fully_masked_row_rejected(self):
-        scores = ad.Tensor(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
-        with pytest.raises(RuntimeError, match="no attendable key"):
-            attention.attention_probs(scores)
+        # query 1 scores -inf against both keys; query 0 is finite
+        q = ad.Tensor(np.array([[0.5, 0.5], [-np.inf, 0.0]])[None, None])
+        keys = ad.Tensor(np.array([[1.0, 0.0], [1.0, 0.0]])[None, None])
+        zero = ad.Tensor(np.zeros(2))
+        enc = encode_offsets(relative_offsets(np.arange(2), np.arange(2)), 4)
+        for contiguous in (True, False):  # -inf times a zero row gives NaN in a future slot
+            with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="no attendable key"):
+                ad.attention_core(q, keys, keys, keys, zero, zero, replace(enc, contiguous=contiguous))
 
 
 class TestCrossHeadGradients:
@@ -220,7 +249,7 @@ class TestCrossHeadGradients:
         assignment = HeadAssignment(sigma=np.array([1, 0]), cross_active=True)
         # keep only query head 0, whose key/value side is head 1
         out = run_forward(x, None, q_tags, q_tags, params, assignment, prune=np.array([True, False]))
-        ad.backward(ad.sum_(out))
+        ad.backward(sum_(out))
 
         assert np.abs(params.w_q.grad[0]).max() > 0
         np.testing.assert_array_equal(params.w_q.grad[1], np.zeros((2, 4)))

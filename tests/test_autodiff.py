@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 
 import memxl.autodiff as ad
 from memxl import relpos
+
+from helpers import sum_
 
 
 def numeric_grad(loss_fn, arrays, index, step=1e-6):
@@ -54,7 +58,7 @@ class TestElementwise:
 
         a = ad.Tensor(a_np, requires_grad=True)
         b = ad.Tensor(b_np, requires_grad=True)
-        loss = ad.sum_(ad.add(ad.mul(a, b), a))
+        loss = sum_(ad.add(ad.mul(a, b), a))
         ad.backward(loss)
 
         np.testing.assert_allclose(a.grad, numeric_grad(loss_fn, [a_np, b_np], 0), atol=1e-8)
@@ -62,7 +66,7 @@ class TestElementwise:
 
     def test_relu_gates_gradient(self):
         x = ad.Tensor(np.array([-2.0, -1e-9, 0.0, 1e-9, 3.0]), requires_grad=True)
-        ad.backward(ad.sum_(ad.relu(x)))
+        ad.backward(sum_(ad.relu(x)))
         # subgradient at exactly zero is taken as zero
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0, 1.0])
 
@@ -81,7 +85,7 @@ class TestElementwise:
 
         a = ad.Tensor(a_np, requires_grad=True)
         b = ad.Tensor(b_np, requires_grad=True)
-        loss = ad.sum_(ad.mul(ad.add(a, b), b))
+        loss = sum_(ad.mul(ad.add(a, b), b))
         ad.backward(loss)
 
         assert a.grad.shape == a_np.shape
@@ -114,7 +118,7 @@ class TestMatmul:
 
         a = ad.Tensor(a_np, requires_grad=True)
         b = ad.Tensor(b_np, requires_grad=True)
-        loss = ad.sum_(ad.mul(ad.matmul(a, b), ad.Tensor(w_np)))
+        loss = sum_(ad.mul(ad.matmul(a, b), ad.Tensor(w_np)))
         ad.backward(loss)
 
         np.testing.assert_allclose(a.grad, numeric_grad(loss_fn, [a_np, b_np, w_np], 0), atol=1e-7)
@@ -129,7 +133,7 @@ class TestMatmul:
 
         a = ad.Tensor(a_np, requires_grad=True)
         b = ad.Tensor(b_np, requires_grad=True)
-        ad.backward(ad.sum_(ad.matmul(a, b)))
+        ad.backward(sum_(ad.matmul(a, b)))
         assert b.grad.shape == (4, 5)
         np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [a_np, b_np], 1), atol=1e-7)
         np.testing.assert_allclose(a.grad, numeric_grad(loss_fn, [a_np, b_np], 0), atol=1e-7)
@@ -145,7 +149,7 @@ class TestMatmul:
         b = ad.Tensor(b_np, requires_grad=True)
         out = ad.matmul(a, b)
         np.testing.assert_allclose(out.data, np.matmul(a_np, b_np), rtol=1e-13)
-        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(w_np))))
+        ad.backward(sum_(ad.mul(out, ad.Tensor(w_np))))
 
         ga = np.matmul(w_np, b_np.T)
         gb = np.matmul(np.swapaxes(a_np, -1, -2), w_np).reshape(-1, 4, 5).sum(axis=0)
@@ -172,7 +176,7 @@ class TestProjectHeads:
         assert out._parents == (x, w)
         want = np.matmul(x_np[:, None], w_np.transpose(0, 2, 1))  # [B, 1, T, d] @ [H, d, d_h]
         np.testing.assert_allclose(out.data, want, rtol=1e-13)
-        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g_np))))
+        ad.backward(sum_(ad.mul(out, ad.Tensor(g_np))))
 
         def loss_fn(x, w):
             return float(np.sum(np.matmul(x[:, None], w.transpose(0, 2, 1)) * g_np))
@@ -185,7 +189,7 @@ class TestProjectHeads:
         w = ad.Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
         out = ad.project_heads(x, w)
         assert out.dtype == np.float32
-        ad.backward(ad.sum_(out))
+        ad.backward(sum_(out))
         assert x.grad.dtype == w.grad.dtype == np.float32
 
     def test_rejects_mismatched_width(self):
@@ -202,11 +206,11 @@ class TestShapeOps:
             return float(np.sum(np.transpose(x, (2, 1, 0)) * w))
 
         x = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(ad.sum_(ad.mul(ad.transpose(x, (2, 1, 0)), ad.Tensor(w_np))))
+        ad.backward(sum_(ad.mul(ad.transpose(x, (2, 1, 0)), ad.Tensor(w_np))))
         np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, w_np], 0), atol=1e-8)
 
         y = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(ad.sum_(ad.mul(ad.reshape(y, (6, 4)), ad.Tensor(x_np.reshape(6, 4)))))
+        ad.backward(sum_(ad.mul(ad.reshape(y, (6, 4)), ad.Tensor(x_np.reshape(6, 4)))))
         np.testing.assert_allclose(y.grad, x_np, atol=1e-12)
 
     def test_concat_roundtrip_and_grad_split(self, rng):
@@ -218,7 +222,7 @@ class TestShapeOps:
         np.testing.assert_array_equal(joined.data, np.concatenate([a_np, b_np], axis=1))
 
         weights = rng.standard_normal((2, 8))
-        ad.backward(ad.sum_(ad.mul(joined, ad.Tensor(weights))))
+        ad.backward(sum_(ad.mul(joined, ad.Tensor(weights))))
         np.testing.assert_array_equal(a.grad, weights[:, :3])
         np.testing.assert_array_equal(b.grad, weights[:, 3:])
 
@@ -229,37 +233,24 @@ class TestShapeOps:
             return float(np.sum(np.sum(x, axis=0, keepdims=True) ** 2))
 
         x = ad.Tensor(x_np, requires_grad=True)
-        m = ad.sum_(x, axis=0, keepdims=True)
+        m = sum_(x, axis=0, keepdims=True)
         assert m.shape == (1, 4)
-        ad.backward(ad.sum_(ad.mul(m, m)))
+        ad.backward(sum_(ad.mul(m, m)))
         np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np], 0), atol=1e-7)
 
 
 class TestIndexingOps:
-    def test_masked_fill_replaces_and_blocks_grad(self, rng):
-        x_np = rng.standard_normal((2, 3))
-        mask = np.array([[True, False, True], [False, False, True]])
-        x = ad.Tensor(x_np, requires_grad=True)
-        filled = ad.masked_fill(x, mask, -np.inf)
-        assert np.all(np.isneginf(filled.data[mask]))
-        np.testing.assert_array_equal(filled.data[~mask], x_np[~mask])
-
-        y = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(ad.sum_(ad.masked_fill(y, mask, 0.0)))
-        np.testing.assert_array_equal(y.grad[mask], np.zeros(mask.sum()))
-        np.testing.assert_array_equal(y.grad[~mask], np.ones((~mask).sum()))
-
     def test_gather_last_accumulates_repeated_indices(self):
-        x = ad.Tensor(np.arange(12, dtype=np.float64).reshape(3, 4), requires_grad=True)
+        # the attention core's gather path for layouts with gaps in the key tags
+        x = np.arange(12, dtype=np.float64).reshape(3, 4)
         index = np.array([[0, 0, 3], [1, 1, 1], [2, 0, 2]])
-        picked = ad.gather_last(x, index)
-        np.testing.assert_array_equal(picked.data, np.take_along_axis(x.data, index, axis=-1))
-        ad.backward(ad.sum_(picked))
+        picked, scatter = ad._gather_last(x, index)
+        np.testing.assert_array_equal(picked, np.take_along_axis(x, index, axis=-1))
         expected = np.zeros((3, 4))
         for r in range(3):
             for c in index[r]:
                 expected[r, c] += 1.0
-        np.testing.assert_array_equal(x.grad, expected)
+        np.testing.assert_array_equal(scatter(np.ones(index.shape)), expected)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gather_last_matches_loop_oracle(self, rng, dtype):
@@ -280,20 +271,24 @@ class TestIndexingOps:
                 want_out[b, h] = np.take_along_axis(a_np[b, h], index, axis=-1)
                 np.add.at(want_grad[b, h], (rows, index), g_np[b, h])
 
-        a = ad.Tensor(a_np, requires_grad=True)
-        out = ad.gather_last(a, index)
-        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(g_np))))
-        assert out.dtype == a.grad.dtype == dtype
-        np.testing.assert_array_equal(out.data, want_out)
+        out, scatter = ad._gather_last(a_np, index)
+        grad = scatter(g_np)
+        assert out.dtype == grad.dtype == dtype
+        np.testing.assert_array_equal(out, want_out)
         # float32 may round a repeated entry's sum once instead of per term
-        np.testing.assert_allclose(a.grad, want_grad, rtol=1e-6 if dtype == np.float32 else 0, atol=0)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-6 if dtype == np.float32 else 0, atol=0)
 
     def test_gather_last_rejects_misshapen_index(self):
-        a = ad.Tensor(np.zeros((2, 3, 4)))
+        a = np.zeros((2, 3, 4))
         for index in (np.zeros(3, dtype=np.int64), np.zeros((1, 3, 2), dtype=np.int64),
                       np.zeros((4, 2), dtype=np.int64)):
             with pytest.raises(ValueError, match="index must be"):
-                ad.gather_last(a, index)
+                ad._gather_last(a, index)
+        # the attention core checks its layout against its queries and keys first
+        inputs, _ = core_inputs(np.random.default_rng(0), np.float64, np.arange(2), np.arange(2, 5))  # 3 queries, 5 keys
+        for tags in ((np.arange(3), np.arange(3, 5)), (np.arange(1), np.arange(1, 4))):  # one query short, one key short
+            with pytest.raises(ValueError, match="do not match"):
+                ad.attention_core(*inputs, core_inputs(np.random.default_rng(0), np.float64, *tags)[1])
 
     def test_index_rows_scatter_adds(self):
         table = ad.Tensor(np.arange(10, dtype=np.float64).reshape(5, 2), requires_grad=True)
@@ -301,7 +296,7 @@ class TestIndexingOps:
         rows = ad.index_rows(table, ids)
         np.testing.assert_array_equal(rows.data, table.data[ids])
         coeff = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-        ad.backward(ad.sum_(ad.mul(rows, ad.Tensor(coeff))))
+        ad.backward(sum_(ad.mul(rows, ad.Tensor(coeff))))
         expected = np.zeros((5, 2))
         np.add.at(expected, ids, coeff)
         np.testing.assert_array_equal(table.grad, expected)
@@ -332,7 +327,7 @@ class TestComposed:
             return float(np.sum(p * w))
 
         x = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(ad.sum_(ad.mul(ad.softmax(x, axis=-1), ad.Tensor(w_np))))
+        ad.backward(sum_(ad.mul(ad.softmax(x, axis=-1), ad.Tensor(w_np))))
         np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, w_np], 0), atol=1e-7)
 
     def test_layer_norm_statistics(self, rng):
@@ -358,7 +353,7 @@ class TestComposed:
         x = ad.Tensor(x_np, requires_grad=True)
         g = ad.Tensor(g_np, requires_grad=True)
         b = ad.Tensor(b_np, requires_grad=True)
-        ad.backward(ad.sum_(ad.mul(ad.layer_norm(x, g, b), ad.Tensor(w_np))))
+        ad.backward(sum_(ad.mul(ad.layer_norm(x, g, b), ad.Tensor(w_np))))
         np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, g_np, b_np], 0), atol=1e-6)
         np.testing.assert_allclose(g.grad, numeric_grad(loss_fn, [x_np, g_np, b_np], 1), atol=1e-6)
         np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [x_np, g_np, b_np], 2), atol=1e-6)
@@ -411,16 +406,45 @@ def np_cross_entropy(logits, targets):
     return -np.take_along_axis(logp, targets[..., None], axis=-1).mean()
 
 
+def core_inputs(rng, dtype, mem_tags, q_tags, batch=2, n_heads=3, d_head=4):
+    """Random inputs of the attention core for memory rows tagged ``mem_tags``
+    and queries tagged ``q_tags``: [q, keys, values, position keys, u, v], all
+    requiring grad, and the layout of their offsets."""
+    key_tags = np.concatenate([mem_tags, q_tags])
+    enc = relpos.encode_offsets(relpos.relative_offsets(q_tags, key_tags), 8)
+    length, n_keys = enc.index.shape
+
+    def t(*shape):
+        return ad.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    return [
+        t(batch, n_heads, length, d_head), t(batch, n_heads, n_keys, d_head), t(batch, n_heads, n_keys, d_head),
+        t(1, n_heads, enc.offsets.size, d_head), t(d_head), t(d_head),
+    ], enc
+
+
+def core_run(inputs, layout, weights):
+    """The core's output and the gradients of sum(output * weights) for each input."""
+    for x in inputs:
+        x.zero_grad()
+    out = ad.attention_core(*inputs, layout)
+    ad.backward(sum_(ad.mul(out, ad.Tensor(weights))))
+    return out.data, [x.grad for x in inputs]
+
+
 def fused_calls(dtype, rng):
-    """Each fused op on [B, T, d] inputs, as (name, output, inputs)."""
+    """Each fused op on [B, T, d] inputs (the attention core on [B, H, T, d_h]),
+    as (name, output, inputs)."""
     x = ad.Tensor(rng.standard_normal((2, 3, 5)).astype(dtype), requires_grad=True)
     g = ad.Tensor(rng.uniform(0.5, 1.5, 5).astype(dtype), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(5).astype(dtype), requires_grad=True)
     logits = ad.Tensor(rng.standard_normal((2, 3, 5)).astype(dtype), requires_grad=True)
+    core, enc = core_inputs(rng, dtype, np.arange(2), np.arange(2, 5))
     return [
         ("softmax", ad.softmax(x), (x,)),
         ("layer_norm", ad.layer_norm(x, g, b), (x, g, b)),
         ("cross_entropy", ad.cross_entropy(logits, np.array([[0, 4, 2], [1, 1, 3]])), (logits,)),
+        ("attention_core", ad.attention_core(*core, enc), tuple(core)),
     ]
 
 
@@ -441,12 +465,12 @@ class TestFused:
         targets = np.array([[0, 4, 2], [1, 1, 3]])
 
         x = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(ad.sum_(ad.mul(ad.softmax(x), ad.Tensor(w_np))))
+        ad.backward(sum_(ad.mul(ad.softmax(x), ad.Tensor(w_np))))
         want = numeric_grad(lambda x: float(np.sum(np_softmax(x) * w_np)), [x_np], 0)
         np.testing.assert_allclose(x.grad, want, atol=1e-8)
 
         x, g, b = (ad.Tensor(a, requires_grad=True) for a in (x_np, g_np, b_np))
-        ad.backward(ad.sum_(ad.mul(ad.layer_norm(x, g, b), ad.Tensor(w_np))))
+        ad.backward(sum_(ad.mul(ad.layer_norm(x, g, b), ad.Tensor(w_np))))
         for i, p in enumerate((x, g, b)):
             want = numeric_grad(lambda x, g, b: float(np.sum(np_layer_norm(x, g, b) * w_np)), [x_np, g_np, b_np], i)
             assert p.grad.shape == p.shape
@@ -461,13 +485,11 @@ class TestFused:
 
     def test_softmax_masked_entries_get_zero_probability_and_grad(self, rng):
         mask = np.array([[False, True, False, True], [True, True, True, False]])
-        # scores as masked_fill leaves them, fed straight in so only softmax's VJP acts
-        scores = ad.masked_fill(ad.Tensor(rng.standard_normal((2, 4))), mask, -np.inf)
-        x = ad.Tensor(scores.data, requires_grad=True)
+        x = ad.Tensor(np.where(mask, -np.inf, rng.standard_normal((2, 4))), requires_grad=True)
         probs = ad.softmax(x)
         assert np.all(probs.data[mask] == 0.0)
         np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones(2), rtol=1e-15)
-        ad.backward(ad.sum_(ad.mul(probs, ad.Tensor(rng.standard_normal((2, 4))))))
+        ad.backward(sum_(ad.mul(probs, ad.Tensor(rng.standard_normal((2, 4))))))
         assert np.all(np.isfinite(x.grad))
         assert np.all(x.grad[mask] == 0.0)
 
@@ -476,7 +498,7 @@ class TestFused:
             assert out.dtype == np.float32, name
             if out.ndim:
                 weights = ad.Tensor(rng.standard_normal(out.shape).astype(np.float32))
-                out = ad.sum_(ad.mul(out, weights))
+                out = sum_(ad.mul(out, weights))
             ad.backward(out)
             assert [p.grad.dtype for p in inputs] == [np.float32] * len(inputs), name
 
@@ -486,6 +508,69 @@ class TestFused:
             ad.layer_norm(x, ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(4)))
         with pytest.raises(ValueError, match="gain/bias"):
             ad.layer_norm(x, ad.Tensor(np.ones(4)), ad.Tensor(np.zeros((1, 4))))
+
+
+class TestAttentionCore:
+    """The fused attention node: its relative-shift path (contiguous key tags)
+    against its gather path, and both against central differences."""
+
+    @pytest.mark.parametrize("mem, length", [(0, 4), (3, 4), (8, 4), (8, 1), (8, 3)],
+                             ids=["empty", "filling", "full", "one_query", "short_block"])
+    def test_shift_and_gather_paths_agree(self, rng, mem, length):
+        inputs, enc = core_inputs(rng, np.float64, np.arange(mem), np.arange(mem, mem + length))
+        assert enc.contiguous
+        weights = rng.standard_normal(inputs[0].shape)
+        shift_out, shift_grads = core_run(inputs, enc, weights)
+        gather_out, gather_grads = core_run(inputs, replace(enc, contiguous=False), weights)
+        assert shift_out.tobytes() == gather_out.tobytes()
+        for a, b in zip(shift_grads, gather_grads):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    @pytest.mark.parametrize("path", ["shift", "gather", "gapped"])
+    def test_grads_match_central_differences(self, rng, path):
+        mem_tags, q_tags = (np.array([0, 2, 3]), np.arange(6, 9)) if path == "gapped" else (np.arange(3), np.arange(3, 6))
+        inputs, enc = core_inputs(rng, np.float64, mem_tags, q_tags, n_heads=2, d_head=3)
+        assert enc.contiguous == (path != "gapped")
+        layout = enc if path == "shift" else replace(enc, contiguous=False)
+        weights = rng.standard_normal(inputs[0].shape)
+        _, grads = core_run(inputs, layout, weights)
+
+        def loss_fn(*arrays):
+            return float(np.sum(ad.attention_core(*(ad.Tensor(a) for a in arrays), layout).data * weights))
+
+        arrays = [x.data for x in inputs]
+        for i, grad in enumerate(grads):
+            np.testing.assert_allclose(grad, numeric_grad(loss_fn, arrays, i), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["shift", "gather"])
+    def test_float32_in_float32_out(self, rng, contiguous):
+        inputs, enc = core_inputs(rng, np.float32, np.arange(3), np.arange(3, 7))
+        layout = replace(enc, contiguous=contiguous)
+        weights = rng.standard_normal(inputs[0].shape).astype(np.float32)
+        out, grads = core_run(inputs, layout, weights)
+        assert out.dtype == np.float32
+        assert [g.dtype for g in grads] == [np.float32] * 6
+        wide = [ad.Tensor(x.data.astype(np.float64), requires_grad=True) for x in inputs]
+        want_out, want_grads = core_run(wide, layout, weights.astype(np.float64))
+        np.testing.assert_allclose(out, want_out, rtol=1e-4, atol=1e-5)
+        for g, want in zip(grads, want_grads):
+            np.testing.assert_allclose(g, want, rtol=1e-3, atol=1e-4)
+
+    def test_future_keys_get_no_weight_and_no_grad(self, rng):
+        # the block's last key is in the future of every query but the last
+        weights = rng.standard_normal((2, 3, 4, 4))
+        weights[:, :, -1] = 0.0
+        for contiguous in (True, False):
+            inputs, enc = core_inputs(rng, np.float64, np.arange(2), np.arange(2, 6))
+            layout = replace(enc, contiguous=contiguous)
+            out, grads = core_run(inputs, layout, weights)
+            assert np.all(grads[1][:, :, -1] == 0.0) and np.all(grads[2][:, :, -1] == 0.0)
+            for x in inputs[1:3]:
+                x.data[:, :, -1] = 1e6
+            moved, _ = core_run(inputs, layout, weights)
+            np.testing.assert_array_equal(moved[:, :, :-1], out[:, :, :-1])
+            assert not np.array_equal(moved[:, :, -1], out[:, :, -1])
 
 
 class TestDropout:
@@ -515,7 +600,7 @@ class TestDropout:
         gen = np.random.default_rng(3)
         x = ad.Tensor(np.ones(64), requires_grad=True)
         out = ad.dropout(x, 0.5, gen, training=True)
-        ad.backward(ad.sum_(out))
+        ad.backward(sum_(out))
         dropped = out.data == 0.0
         assert dropped.any() and (~dropped).any()
         np.testing.assert_array_equal(x.grad[dropped], np.zeros(dropped.sum()))
@@ -532,7 +617,7 @@ class TestDropout:
 class TestGraphMechanics:
     def test_backward_twice_rejected(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
-        loss = ad.sum_(ad.mul(x, x))
+        loss = sum_(ad.mul(x, x))
         ad.backward(loss)
         with pytest.raises(RuntimeError):
             ad.backward(loss)
@@ -542,11 +627,11 @@ class TestGraphMechanics:
         with pytest.raises(ValueError):
             ad.backward(ad.mul(x, x))
         with pytest.raises(RuntimeError):
-            ad.backward(ad.sum_(ad.Tensor(np.ones(3))))
+            ad.backward(sum_(ad.Tensor(np.ones(3))))
 
     def test_grad_accumulates_across_uses(self):
         x = ad.Tensor(np.array([2.0]), requires_grad=True)
-        loss = ad.sum_(ad.add(ad.mul(x, x), x))
+        loss = sum_(ad.add(ad.mul(x, x), x))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [5.0])
 
@@ -555,7 +640,7 @@ class TestGraphMechanics:
         frozen = x.detach()
         assert not frozen.requires_grad
         np.testing.assert_array_equal(frozen.data, x.data)
-        loss = ad.sum_(ad.mul(frozen, x))
+        loss = sum_(ad.mul(frozen, x))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [3.0])  # only the live branch contributes
 
@@ -580,7 +665,7 @@ class TestGraphMechanics:
 class TestFiniteDiffChecker:
     def test_accepts_correct_gradient(self):
         p = ad.Tensor(np.array([1.5, -0.5]), requires_grad=True)
-        report = ad.finite_diff_check(lambda: ad.sum_(ad.mul(p, p)), [("p", p)])
+        report = ad.finite_diff_check(lambda: sum_(ad.mul(p, p)), [("p", p)])
         assert report.passed
         assert report.max_rel_error < 1e-8
         assert report.failures() == []
@@ -592,7 +677,7 @@ class TestFiniteDiffChecker:
         def bad():
             # analytic claim (3x) disagrees with the true derivative (2x)
             out = ad._make(p.data * p.data, (p,), lambda g: (3.0 * p.data * g,))
-            return ad.sum_(out)
+            return sum_(out)
 
         report = ad.finite_diff_check(bad, [("p", p)])
         assert not report.passed
@@ -604,7 +689,7 @@ class TestFiniteDiffChecker:
         p = ad.Tensor(np.ones(2), requires_grad=True)
 
         def noisy():
-            return ad.sum_(ad.mul(p, ad.Tensor(gen.random(2))))
+            return sum_(ad.mul(p, ad.Tensor(gen.random(2))))
 
         with pytest.raises(RuntimeError, match="deterministic"):
             ad.finite_diff_check(noisy, [("p", p)])

@@ -221,6 +221,33 @@ class TestForwardSemantics:
         assert logits.dtype == np.float32
 
 
+class TestStaleCacheGradient:
+    def test_gapped_key_tags_match_finite_differences(self):
+        """Gradients through layers whose stale caches leave gaps in the key
+        tags, which the attention core gathers instead of shifting."""
+        model = fresh_model(mem_len=6, block_len=4)
+        gen = np.random.default_rng(4)
+        blocks = gen.integers(0, model.config.vocab_size, size=(4, 2, 4))
+        with ad.no_grad():
+            _, mems = model.forward(blocks[0], model.init_memory(2))
+            _, mems = model.forward(blocks[1], mems, skip_mask=np.array([True, False]))
+        # layer 0: tags 0..3 before the block at 8..11, then 2, 3, 8..11 before 12..15
+        for tokens in blocks[2:]:
+            record: list[LayerTrace] = []
+            with ad.no_grad():
+                model.forward(tokens, mems, record=record)
+            assert [relpos.encode_offsets(t.offsets, 8).contiguous for t in record] == [False, True]
+
+            def f(tokens=tokens):
+                logits, _ = model.forward(tokens, mems)
+                return ad.cross_entropy(logits, tokens[:, ::-1])
+
+            report = ad.finite_diff_check(f, model.named_parameters())
+            assert report.passed, report.summary()
+            with ad.no_grad():
+                _, mems = model.forward(tokens, mems)
+
+
 class TestStopGradient:
     def test_no_gradient_flows_through_cached_activations(self):
         model = fresh_model(n_layers=1, vocab_size=8, mem_len=3, block_len=3)

@@ -73,7 +73,7 @@ class TestOffsets:
     def test_encode_offsets_indexes_recover_vectors(self):
         offsets = relpos.relative_offsets([2, 3], [0, 1, 2, 3])
         enc = relpos.encode_offsets(offsets, 6)
-        assert enc.n_keys == 4
+        assert enc.index.shape == (2, 4)
         assert list(enc.offsets) == sorted(set(enc.offsets))
         for i in range(offsets.shape[0]):
             for j in range(offsets.shape[1]):
