@@ -3,6 +3,7 @@ expected-context accounting, and finite-difference gradient checks."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,10 +143,8 @@ def _accumulate(record: list[LayerTrace], hists: list[dict[int, int]]) -> None:
     for trace in record:
         if trace.skipped:
             continue
-        scored = trace.offsets[trace.offsets >= 0]
-        values, counts = np.unique(scored, return_counts=True)
         hist = hists[trace.layer]
-        for v, c in zip(values.tolist(), counts.tolist()):
+        for v, c in Counter(trace.offsets[trace.offsets >= 0].tolist()).items():
             hist[v] = hist.get(v, 0) + c
 
 

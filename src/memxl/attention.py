@@ -109,7 +109,8 @@ class LayerAttentionParams:
 
 
 def position_keys(enc: OffsetEncodings, w_kr: Tensor) -> Tensor:
-    """Each head's projection of the encoded offsets, [1, H, n, d_h]."""
+    """Each head's projection of the encoded offsets, [1, H, n, d_h], in the
+    encoding's shift order, which is the order ``ad.attention_core`` reads."""
     return ad.project_heads(Tensor(enc.vectors[None].astype(w_kr.dtype, copy=False)), w_kr)
 
 

@@ -204,22 +204,6 @@ def index_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 # -- fused functions: one node each, with a hand-written VJP ----------------
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``; subtracts the row max before exponentiation.
-
-    A ``-inf`` entry gets probability 0 and gradient exactly 0, so masked
-    keys stay out of both passes. A row must hold at least one finite entry.
-    """
-    p = x.data - np.max(x.data, axis=axis, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return (p * (g - np.sum(g * p, axis=axis, keepdims=True)),)
-
-    return _make(p, (x,), vjp)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
@@ -256,34 +240,14 @@ def project_heads(x: Tensor, w: Tensor) -> Tensor:
     return _make(out.swapaxes(-3, -2), (x, w), vjp)
 
 
-def _relative_shift(grid: np.ndarray, length: int, n_keys: int) -> np.ndarray:
-    """The [..., L, K] view of a [..., L, K + L - 1] ``grid`` whose entry
-    (i, j) is grid[..., i, L - 1 - i + j]: each row starts one column to the
-    left of the row above (Transformer-XL's relative shift, as strides)."""
+def _relative_shift(grid: np.ndarray, length: int, span: int) -> np.ndarray:
+    """The [..., L, n] view of a C-contiguous [..., L, W] ``grid``, W >= n,
+    whose entry (i, c) is grid[..., i, L - 1 - i + c]: each row starts one
+    column to the left of the row above (Transformer-XL's relative shift, as
+    strides). Where L - 1 - i + c >= W, the entry reads the next row's start,
+    as Transformer-XL's pad-and-reshape does; that only happens for c > n - L + i."""
     *lead, row, col = grid.strides
-    return as_strided(grid[..., length - 1:], grid.shape[:-1] + (n_keys,), (*lead, row - col, col))
-
-
-def _gather_last(a: np.ndarray, index: np.ndarray):
-    """out[..., r, k] = a[..., r, index[r, k]] for ``a`` of shape [..., R, n],
-    and the map that sends a gradient of ``out`` back onto ``a``.
-
-    The [R, K] ``index`` is shared by every leading axis. The gather is one
-    flat ``np.take`` and the scatter one weighted bincount, so repeated
-    indices accumulate.
-    """
-    if index.ndim != 2 or a.ndim < 2 or index.shape[0] != a.shape[-2]:
-        raise ValueError(f"index must be [R, K] with R = a.shape[-2]; got {index.shape} for a of shape {a.shape}")
-    shape, size = a.shape, a.size
-    rows, n = shape[-2:]
-    flat = (np.arange(rows)[:, None] * n + index).ravel()  # into one [R * n] slab
-    out = np.take(a.reshape(-1, rows * n), flat, axis=1).reshape(shape[:-1] + index.shape[1:])
-
-    def scatter(g):
-        slabs = (np.arange(0, size, rows * n)[:, None] + flat).ravel()  # every slab of the leading axes
-        return np.bincount(slabs, weights=g.ravel(), minlength=size).astype(g.dtype, copy=False).reshape(shape)
-
-    return out, scatter
+    return as_strided(grid[..., length - 1:], grid.shape[:-1] + (span,), (*lead, row - col, col))
 
 
 def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout) -> Tensor:
@@ -293,34 +257,30 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
 
         S[i, j] = ((q_i + u) . k_j + (q_i + v) . r_ij) / sqrt(d_h)
 
-    where r_ij is the row of the [1, H, n, d_h] position keys for the offset of
-    query i to key j. ``layout`` is the ``relpos.OffsetEncodings`` of those
-    offsets. The last L keys are the queries' own, so the future slots are
-    the trailing [L, L] upper triangle; they get -inf.
+    where r_ij is the position key for the offset of query i to key j.
+    ``layout`` is the ``relpos.OffsetEncodings`` of those offsets, and
+    ``positions`` holds its [1, H, n, d_h] position keys in shift order. The
+    last L keys are the queries' own, so the future slots are the trailing
+    [L, L] upper triangle; they get -inf.
 
-    A contiguous layout reads the position scores as a strided view of
-    (q + v) @ P_ext^T (``_relative_shift``); any other gathers them through
-    ``layout.index``. Both give the same numbers. The VJP uses
-    rowsum(dP * P) = rowsum(dO * O) (FlashAttention), so the softmax backward
-    needs no second [B, H, L, K] array.
+    The relative shift of (q + v) @ positions^T scores every query against
+    the n positions of the layout's gap-filled run; each run of keys reads
+    one column slice of it. The VJP uses rowsum(dP * P) = rowsum(dO * O)
+    (FlashAttention), so the softmax backward needs no second [B, H, L, K]
+    array.
     """
-    length, n_keys, d_head = q.shape[-2], keys.shape[-2], q.shape[-1]
-    if layout.index.shape != (length, n_keys):
-        raise ValueError(f"encoding slots {layout.index.shape} do not match {length} queries by {n_keys} keys")
+    length, n_keys, span, d_head = q.shape[-2], keys.shape[-2], positions.shape[-2], q.shape[-1]
+    first, last, _ = layout.runs[-1]
+    if last != n_keys or last - first < length:
+        raise ValueError(f"encoding runs {layout.runs} do not match {length} queries by {n_keys} keys")
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
     qu, qv = q.data + u.data, q.data + v.data
-    if layout.contiguous:
-        # position keys of offsets K-1 .. 0, then L-1 zero rows for the future slots
-        rows = np.zeros(positions.shape[:-2] + (n_keys + length - 1, d_head), q.dtype)
-        rows[..., :n_keys, :] = positions.data[..., ::-1, :]
-        pos = _relative_shift(np.matmul(qv, rows.swapaxes(-1, -2)), length, n_keys)
-    else:
-        rows = positions.data
-        pos, scatter = _gather_last(np.matmul(qv, rows.swapaxes(-1, -2)), layout.index)
+    shifted = _relative_shift(np.matmul(qv, positions.data.swapaxes(-1, -2)), length, span)
     p = np.matmul(qu, keys.data.swapaxes(-1, -2))
-    p += pos
+    for a, b, c in layout.runs:
+        p[..., a:b] += shifted[..., c:c + b - a]
     p *= scale
-    np.copyto(p[..., n_keys - length:], -np.inf, where=layout.future[:, n_keys - length:])
+    np.copyto(p[..., n_keys - length:], -np.inf, where=np.triu(np.ones((length, length), bool), 1))
     peak = p.max(axis=-1, keepdims=True)
     if not np.isfinite(peak).all() and not np.isfinite(p).any(axis=-1).all():
         raise RuntimeError("attention row with no attendable key; a token always attends to itself")
@@ -334,22 +294,19 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         ds -= np.sum(g * out, axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        if layout.contiguous:
-            gpos = np.zeros(ds.shape[:-1] + (n_keys + length - 1,), ds.dtype)
-            _relative_shift(gpos, length, n_keys)[...] = ds
-            gpos = gpos[..., :n_keys]  # the columns past K hold future slots, whose gradient is 0
-            gqv = np.matmul(gpos, rows[..., :n_keys, :])
-            grows = np.matmul(gpos.swapaxes(-1, -2), qv)[..., ::-1, :]
-        else:
-            gpos = scatter(ds)
-            gqv = np.matmul(gpos, rows)
-            grows = np.matmul(gpos.swapaxes(-1, -2), qv)
+        # L - 1 padding columns keep the future slots' zeros off the real ones
+        gpos = np.zeros(ds.shape[:-1] + (span + length - 1,), ds.dtype)
+        gshift = _relative_shift(gpos, length, span)
+        for a, b, c in layout.runs:
+            gshift[..., c:c + b - a] = ds[..., a:b]
+        gpos = gpos[..., :span]
         gqu = np.matmul(ds, keys.data)
+        gqv = np.matmul(gpos, positions.data)
         return (
             gqu + gqv,
             _unbroadcast(np.matmul(ds.swapaxes(-1, -2), qu), keys.shape),
             _unbroadcast(np.matmul(p.swapaxes(-1, -2), g), values.shape),
-            _unbroadcast(grows, positions.shape),
+            _unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qv), positions.shape),
             _unbroadcast(gqu, u.shape),
             _unbroadcast(gqv, v.shape),
         )

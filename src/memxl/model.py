@@ -298,10 +298,6 @@ class MemoryLM:
             mem_len = self.config.mem_len
         return MemoryState.fresh(self.config.n_layers, mem_len, batch, self.config.d_model, self.config.dtype)
 
-    def embed(self, tokens: np.ndarray) -> Tensor:
-        tokens = self._check_tokens(tokens)
-        return ad.index_rows(self.embedding, tokens)
-
     def project(self, h: Tensor) -> Tensor:
         """Logits via the transposed embedding table (tied weights)."""
         return ad.matmul(h, ad.transpose(self.embedding))

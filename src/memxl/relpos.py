@@ -45,37 +45,31 @@ def relative_offsets(query_tags: np.ndarray, key_tags: np.ndarray) -> np.ndarray
 
 @dataclass
 class OffsetEncodings:
-    """Encodings for the distinct nonnegative offsets of one offset matrix.
+    """Encodings for every offset from 0 to n - 1, where n - 1 is the largest
+    offset of one offset matrix, and the runs of keys that read them.
 
-    ``index`` maps each (query, key) slot to a row of ``vectors``; future
-    slots point at row 0 and are flagged in ``future`` for masking.
-    Vectors depend only on the offset value, never on layer or step.
-
-    ``contiguous`` holds when the key tags are one run ending at the last
-    query's: then offset (i, j) is K - L + i - j and the distinct offsets
-    are 0 .. K-1, so attention can read its position scores through a
-    relative shift instead of a gather.
+    Key tags ascend in a few runs (the kept memory rows, then the block), so
+    the keys lie on one gap-filled run of n positions that ends at the last
+    query. Key j sits at column n - 1 - offsets[-1, j] of that run; each run
+    of keys is one (key start, key stop, column) triple. ``vectors`` is in
+    shift order: row r encodes offset n - 1 - r. Vectors depend only on the
+    offset value, never on layer or step.
     """
 
-    offsets: np.ndarray  # [n] distinct offsets, ascending
-    vectors: np.ndarray  # [n, d]
-    index: np.ndarray    # [L, K] into vectors
-    future: np.ndarray   # [L, K] bool, True where key is in the future
-    contiguous: bool
+    offsets: np.ndarray  # [n] = 0 .. n-1
+    vectors: np.ndarray  # [n, d], offsets n-1 .. 0
+    runs: list[tuple[int, int, int]]
 
 
 def encode_offsets(offsets: np.ndarray, d: int) -> OffsetEncodings:
-    """Encode every distinct nonnegative offset appearing in the matrix."""
+    """Encode offsets 0 .. max of the matrix and split its keys into runs."""
     offsets = np.asarray(offsets, dtype=np.int64)
-    future = offsets < 0
-    present = np.where(future, 0, offsets)
-    uniq = np.unique(present)
-    index = np.searchsorted(uniq, present)
-    length, n_keys = offsets.shape
+    n = int(offsets.max()) + 1
+    columns = n - 1 - offsets[-1]
+    starts = [0, *(np.flatnonzero(np.diff(columns) != 1) + 1).tolist()]
+    stops = starts[1:] + [len(columns)]
     return OffsetEncodings(
-        offsets=uniq,
-        vectors=pe_matrix(uniq, d),
-        index=index,
-        future=future,
-        contiguous=np.array_equal(offsets, np.arange(n_keys - length, n_keys)[:, None] - np.arange(n_keys)),
+        offsets=np.arange(n),
+        vectors=pe_matrix(np.arange(n - 1, -1, -1), d),
+        runs=[(a, b, int(columns[a])) for a, b in zip(starts, stops)],
     )

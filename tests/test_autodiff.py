@@ -1,6 +1,3 @@
-from dataclasses import replace
-
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +6,7 @@ from hypothesis import strategies as st
 import memxl.autodiff as ad
 from memxl import relpos
 
-from helpers import sum_
+from helpers import gather_attention, sum_
 
 
 def numeric_grad(loss_fn, arrays, index, step=1e-6):
@@ -240,56 +237,6 @@ class TestShapeOps:
 
 
 class TestIndexingOps:
-    def test_gather_last_accumulates_repeated_indices(self):
-        # the attention core's gather path for layouts with gaps in the key tags
-        x = np.arange(12, dtype=np.float64).reshape(3, 4)
-        index = np.array([[0, 0, 3], [1, 1, 1], [2, 0, 2]])
-        picked, scatter = ad._gather_last(x, index)
-        np.testing.assert_array_equal(picked, np.take_along_axis(x, index, axis=-1))
-        expected = np.zeros((3, 4))
-        for r in range(3):
-            for c in index[r]:
-                expected[r, c] += 1.0
-        np.testing.assert_array_equal(scatter(np.ones(index.shape)), expected)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_gather_last_matches_loop_oracle(self, rng, dtype):
-        """[2, 3, L, n] scores gathered through a stale cache's offset index,
-        where future slots and the diagonal both map to offset 0."""
-        q_tags = np.arange(10, 14)
-        enc = relpos.encode_offsets(relpos.relative_offsets(q_tags, np.r_[2, 3, 6, q_tags]), 8)
-        index = enc.index  # [4, 7] into n distinct offsets
-        assert ((index == 0).sum(axis=1) > 1).any()
-        a_np = rng.standard_normal((2, 3, index.shape[0], enc.offsets.size)).astype(dtype)
-        g_np = rng.standard_normal((2, 3, *index.shape)).astype(dtype)
-
-        want_out = np.empty(g_np.shape, dtype=dtype)
-        want_grad = np.zeros(a_np.shape, dtype=dtype)
-        rows = np.arange(index.shape[0])[:, None]
-        for b in range(2):
-            for h in range(3):
-                want_out[b, h] = np.take_along_axis(a_np[b, h], index, axis=-1)
-                np.add.at(want_grad[b, h], (rows, index), g_np[b, h])
-
-        out, scatter = ad._gather_last(a_np, index)
-        grad = scatter(g_np)
-        assert out.dtype == grad.dtype == dtype
-        np.testing.assert_array_equal(out, want_out)
-        # float32 may round a repeated entry's sum once instead of per term
-        np.testing.assert_allclose(grad, want_grad, rtol=1e-6 if dtype == np.float32 else 0, atol=0)
-
-    def test_gather_last_rejects_misshapen_index(self):
-        a = np.zeros((2, 3, 4))
-        for index in (np.zeros(3, dtype=np.int64), np.zeros((1, 3, 2), dtype=np.int64),
-                      np.zeros((4, 2), dtype=np.int64)):
-            with pytest.raises(ValueError, match="index must be"):
-                ad._gather_last(a, index)
-        # the attention core checks its layout against its queries and keys first
-        inputs, _ = core_inputs(np.random.default_rng(0), np.float64, np.arange(2), np.arange(2, 5))  # 3 queries, 5 keys
-        for tags in ((np.arange(3), np.arange(3, 5)), (np.arange(1), np.arange(1, 4))):  # one query short, one key short
-            with pytest.raises(ValueError, match="do not match"):
-                ad.attention_core(*inputs, core_inputs(np.random.default_rng(0), np.float64, *tags)[1])
-
     def test_index_rows_scatter_adds(self):
         table = ad.Tensor(np.arange(10, dtype=np.float64).reshape(5, 2), requires_grad=True)
         ids = np.array([0, 3, 3, 1])
@@ -303,33 +250,6 @@ class TestIndexingOps:
 
 
 class TestComposed:
-    def test_softmax_matches_extended_precision(self):
-        with mpmath.workdps(50):
-            exps = [mpmath.e ** mpmath.mpf(v) for v in (1, 2, 3)]
-            total = mpmath.fsum(exps)
-            oracle = np.array([float(e / total) for e in exps])
-        out = ad.softmax(ad.Tensor(np.array([1.0, 2.0, 3.0])))
-        np.testing.assert_allclose(out.data, oracle, rtol=1e-14)
-
-    def test_softmax_rows_sum_to_one_with_large_inputs(self, rng):
-        x = ad.Tensor(rng.standard_normal((4, 7)) * 200.0 + 1e4)
-        probs = ad.softmax(x, axis=-1).data
-        assert np.all(np.isfinite(probs))
-        np.testing.assert_allclose(probs.sum(axis=-1), np.ones(4), rtol=1e-12)
-
-    def test_softmax_grad_matches_numeric(self, rng):
-        x_np = rng.standard_normal((2, 5))
-        w_np = rng.standard_normal((2, 5))
-
-        def loss_fn(x, w):
-            shifted = x - x.max(axis=-1, keepdims=True)
-            p = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
-            return float(np.sum(p * w))
-
-        x = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(sum_(ad.mul(ad.softmax(x, axis=-1), ad.Tensor(w_np))))
-        np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, w_np], 0), atol=1e-7)
-
     def test_layer_norm_statistics(self, rng):
         x = ad.Tensor(rng.standard_normal((3, 16)) * 5.0 + 2.0)
         gain = ad.Tensor(np.ones(16))
@@ -391,11 +311,6 @@ class TestComposed:
             ad.cross_entropy(logits, np.array([0, 1, 2]))
 
 
-def np_softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
-
-
 def np_layer_norm(x, g, b, eps=1e-5):
     return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + eps) * g + b
 
@@ -406,13 +321,27 @@ def np_cross_entropy(logits, targets):
     return -np.take_along_axis(logp, targets[..., None], axis=-1).mean()
 
 
-def core_inputs(rng, dtype, mem_tags, q_tags, batch=2, n_heads=3, d_head=4):
-    """Random inputs of the attention core for memory rows tagged ``mem_tags``
-    and queries tagged ``q_tags``: [q, keys, values, position keys, u, v], all
-    requiring grad, and the layout of their offsets."""
-    key_tags = np.concatenate([mem_tags, q_tags])
-    enc = relpos.encode_offsets(relpos.relative_offsets(q_tags, key_tags), 8)
-    length, n_keys = enc.index.shape
+# memory tags and block tags of the layouts the attention core is checked on
+LAYOUTS = {
+    "empty": (np.arange(0), np.arange(0, 4)),
+    "filling": (np.arange(3), np.arange(3, 7)),
+    "full": (np.arange(8), np.arange(8, 12)),
+    "one_query": (np.arange(8), np.arange(8, 9)),
+    "short_block": (np.arange(8), np.arange(8, 11)),
+    "stale1": (np.arange(4), np.arange(8, 12)),   # a full memory of 4 after one skip
+    "stale3": (np.arange(4), np.arange(16, 20)),  # ... after three
+    "gapped": (np.array([2, 3, 8, 9, 10, 11]), np.arange(12, 16)),  # a gap inside the memory
+}
+
+
+def core_inputs(rng, dtype, layout, batch=2, n_heads=3, d_head=4):
+    """Random inputs of the attention core for one of ``LAYOUTS``: [q, keys,
+    values, position keys, u, v], all requiring grad, the encoding of their
+    offsets and the offset matrix."""
+    mem_tags, q_tags = LAYOUTS[layout]
+    offsets = relpos.relative_offsets(q_tags, np.concatenate([mem_tags, q_tags]))
+    enc = relpos.encode_offsets(offsets, 8)
+    length, n_keys = offsets.shape
 
     def t(*shape):
         return ad.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
@@ -420,14 +349,14 @@ def core_inputs(rng, dtype, mem_tags, q_tags, batch=2, n_heads=3, d_head=4):
     return [
         t(batch, n_heads, length, d_head), t(batch, n_heads, n_keys, d_head), t(batch, n_heads, n_keys, d_head),
         t(1, n_heads, enc.offsets.size, d_head), t(d_head), t(d_head),
-    ], enc
+    ], enc, offsets
 
 
-def core_run(inputs, layout, weights):
-    """The core's output and the gradients of sum(output * weights) for each input."""
+def core_run(op, inputs, layout, weights):
+    """``op(*inputs, layout)`` and the gradients of sum(output * weights) for each input."""
     for x in inputs:
         x.zero_grad()
-    out = ad.attention_core(*inputs, layout)
+    out = op(*inputs, layout)
     ad.backward(sum_(ad.mul(out, ad.Tensor(weights))))
     return out.data, [x.grad for x in inputs]
 
@@ -439,9 +368,8 @@ def fused_calls(dtype, rng):
     g = ad.Tensor(rng.uniform(0.5, 1.5, 5).astype(dtype), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(5).astype(dtype), requires_grad=True)
     logits = ad.Tensor(rng.standard_normal((2, 3, 5)).astype(dtype), requires_grad=True)
-    core, enc = core_inputs(rng, dtype, np.arange(2), np.arange(2, 5))
+    core, enc, _ = core_inputs(rng, dtype, "filling")
     return [
-        ("softmax", ad.softmax(x), (x,)),
         ("layer_norm", ad.layer_norm(x, g, b), (x, g, b)),
         ("cross_entropy", ad.cross_entropy(logits, np.array([[0, 4, 2], [1, 1, 3]])), (logits,)),
         ("attention_core", ad.attention_core(*core, enc), tuple(core)),
@@ -449,7 +377,7 @@ def fused_calls(dtype, rng):
 
 
 class TestFused:
-    """softmax, layer_norm and cross_entropy each record one node whose VJP
+    """layer_norm, cross_entropy and the attention core each record one node whose VJP
     is written by hand; these check it against numpy and central differences."""
 
     def test_each_records_one_node(self, rng):
@@ -464,11 +392,6 @@ class TestFused:
         w_np = rng.standard_normal((2, 3, 5))
         targets = np.array([[0, 4, 2], [1, 1, 3]])
 
-        x = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(sum_(ad.mul(ad.softmax(x), ad.Tensor(w_np))))
-        want = numeric_grad(lambda x: float(np.sum(np_softmax(x) * w_np)), [x_np], 0)
-        np.testing.assert_allclose(x.grad, want, atol=1e-8)
-
         x, g, b = (ad.Tensor(a, requires_grad=True) for a in (x_np, g_np, b_np))
         ad.backward(sum_(ad.mul(ad.layer_norm(x, g, b), ad.Tensor(w_np))))
         for i, p in enumerate((x, g, b)):
@@ -482,16 +405,6 @@ class TestFused:
         ad.backward(loss)
         want = numeric_grad(lambda x: float(np_cross_entropy(x, targets)), [x_np], 0)
         np.testing.assert_allclose(logits.grad, want, atol=1e-8)
-
-    def test_softmax_masked_entries_get_zero_probability_and_grad(self, rng):
-        mask = np.array([[False, True, False, True], [True, True, True, False]])
-        x = ad.Tensor(np.where(mask, -np.inf, rng.standard_normal((2, 4))), requires_grad=True)
-        probs = ad.softmax(x)
-        assert np.all(probs.data[mask] == 0.0)
-        np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones(2), rtol=1e-15)
-        ad.backward(sum_(ad.mul(probs, ad.Tensor(rng.standard_normal((2, 4))))))
-        assert np.all(np.isfinite(x.grad))
-        assert np.all(x.grad[mask] == 0.0)
 
     def test_float32_stays_float32(self, rng):
         for name, out, inputs in fused_calls(np.float32, rng):
@@ -511,66 +424,72 @@ class TestFused:
 
 
 class TestAttentionCore:
-    """The fused attention node: its relative-shift path (contiguous key tags)
-    against its gather path, and both against central differences."""
+    """The fused attention node, which reads every layout's position scores
+    through one relative shift, against the gather reference in ``helpers``
+    and against central differences."""
 
-    @pytest.mark.parametrize("mem, length", [(0, 4), (3, 4), (8, 4), (8, 1), (8, 3)],
-                             ids=["empty", "filling", "full", "one_query", "short_block"])
-    def test_shift_and_gather_paths_agree(self, rng, mem, length):
-        inputs, enc = core_inputs(rng, np.float64, np.arange(mem), np.arange(mem, mem + length))
-        assert enc.contiguous
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_shift_and_gather_paths_agree(self, rng, layout):
+        inputs, enc, offsets = core_inputs(rng, np.float64, layout)
         weights = rng.standard_normal(inputs[0].shape)
-        shift_out, shift_grads = core_run(inputs, enc, weights)
-        gather_out, gather_grads = core_run(inputs, replace(enc, contiguous=False), weights)
+        shift_out, shift_grads = core_run(ad.attention_core, inputs, enc, weights)
+        gather_out, gather_grads = core_run(gather_attention, inputs, offsets, weights)
         assert shift_out.tobytes() == gather_out.tobytes()
         for a, b in zip(shift_grads, gather_grads):
             assert a.shape == b.shape
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
-    @pytest.mark.parametrize("path", ["shift", "gather", "gapped"])
-    def test_grads_match_central_differences(self, rng, path):
-        mem_tags, q_tags = (np.array([0, 2, 3]), np.arange(6, 9)) if path == "gapped" else (np.arange(3), np.arange(3, 6))
-        inputs, enc = core_inputs(rng, np.float64, mem_tags, q_tags, n_heads=2, d_head=3)
-        assert enc.contiguous == (path != "gapped")
-        layout = enc if path == "shift" else replace(enc, contiguous=False)
+    # "shift" is the core on the filling layout; "gather" checks the gather
+    # reference itself, on the gapped layout, so the agreement above ties both to the math
+    @pytest.mark.parametrize("case", ["shift", "gather", "stale1", "stale3", "gapped"])
+    def test_grads_match_central_differences(self, rng, case):
+        layout = {"shift": "filling", "gather": "gapped"}.get(case, case)
+        inputs, enc, offsets = core_inputs(rng, np.float64, layout, n_heads=2, d_head=3)
+        op, arg = (gather_attention, offsets) if case == "gather" else (ad.attention_core, enc)
         weights = rng.standard_normal(inputs[0].shape)
-        _, grads = core_run(inputs, layout, weights)
+        _, grads = core_run(op, inputs, arg, weights)
 
         def loss_fn(*arrays):
-            return float(np.sum(ad.attention_core(*(ad.Tensor(a) for a in arrays), layout).data * weights))
+            return float(np.sum(op(*(ad.Tensor(a) for a in arrays), arg).data * weights))
 
         arrays = [x.data for x in inputs]
         for i, grad in enumerate(grads):
             np.testing.assert_allclose(grad, numeric_grad(loss_fn, arrays, i), rtol=1e-6, atol=1e-8)
 
-    @pytest.mark.parametrize("contiguous", [True, False], ids=["shift", "gather"])
-    def test_float32_in_float32_out(self, rng, contiguous):
-        inputs, enc = core_inputs(rng, np.float32, np.arange(3), np.arange(3, 7))
-        layout = replace(enc, contiguous=contiguous)
+    @pytest.mark.parametrize("layout", ["filling", "gapped"])
+    def test_float32_in_float32_out(self, rng, layout):
+        inputs, enc, _ = core_inputs(rng, np.float32, layout)
         weights = rng.standard_normal(inputs[0].shape).astype(np.float32)
-        out, grads = core_run(inputs, layout, weights)
+        out, grads = core_run(ad.attention_core, inputs, enc, weights)
         assert out.dtype == np.float32
         assert [g.dtype for g in grads] == [np.float32] * 6
         wide = [ad.Tensor(x.data.astype(np.float64), requires_grad=True) for x in inputs]
-        want_out, want_grads = core_run(wide, layout, weights.astype(np.float64))
+        want_out, want_grads = core_run(ad.attention_core, wide, enc, weights.astype(np.float64))
         np.testing.assert_allclose(out, want_out, rtol=1e-4, atol=1e-5)
         for g, want in zip(grads, want_grads):
             np.testing.assert_allclose(g, want, rtol=1e-3, atol=1e-4)
 
     def test_future_keys_get_no_weight_and_no_grad(self, rng):
         # the block's last key is in the future of every query but the last
-        weights = rng.standard_normal((2, 3, 4, 4))
-        weights[:, :, -1] = 0.0
-        for contiguous in (True, False):
-            inputs, enc = core_inputs(rng, np.float64, np.arange(2), np.arange(2, 6))
-            layout = replace(enc, contiguous=contiguous)
-            out, grads = core_run(inputs, layout, weights)
+        for layout in ("filling", "stale1"):
+            inputs, enc, _ = core_inputs(rng, np.float64, layout)
+            weights = rng.standard_normal(inputs[0].shape)
+            weights[:, :, -1] = 0.0
+            out, grads = core_run(ad.attention_core, inputs, enc, weights)
             assert np.all(grads[1][:, :, -1] == 0.0) and np.all(grads[2][:, :, -1] == 0.0)
             for x in inputs[1:3]:
                 x.data[:, :, -1] = 1e6
-            moved, _ = core_run(inputs, layout, weights)
+            moved, _ = core_run(ad.attention_core, inputs, enc, weights)
             np.testing.assert_array_equal(moved[:, :, :-1], out[:, :, :-1])
             assert not np.array_equal(moved[:, :, -1], out[:, :, -1])
+
+    def test_rejects_layout_of_other_queries_or_keys(self, rng):
+        inputs, _, _ = core_inputs(rng, np.float64, "stale1")  # 4 queries, 8 keys
+        # a key too many, then a block of 3 that cannot hold 4 queries
+        for mem_tags, q_tags in ((np.arange(4), np.arange(8, 13)), (np.arange(5), np.arange(9, 12))):
+            enc = relpos.encode_offsets(relpos.relative_offsets(q_tags, np.r_[mem_tags, q_tags]), 8)
+            with pytest.raises(ValueError, match="do not match 4 queries by 8 keys"):
+                ad.attention_core(*inputs, enc)
 
 
 class TestDropout:

@@ -71,26 +71,41 @@ class TestOffsets:
         assert got[0, 0] == -5
 
     def test_encode_offsets_indexes_recover_vectors(self):
-        offsets = relpos.relative_offsets([2, 3], [0, 1, 2, 3])
+        # key j of run (a, b, c) sits at column c + j - a of the gap-filled run;
+        # query i reads it from vectors row L - 1 - i + that column
+        offsets = relpos.relative_offsets([5, 6], [0, 1, 5, 6])
         enc = relpos.encode_offsets(offsets, 6)
-        assert enc.index.shape == (2, 4)
-        assert list(enc.offsets) == sorted(set(enc.offsets))
-        for i in range(offsets.shape[0]):
-            for j in range(offsets.shape[1]):
-                if offsets[i, j] < 0:
-                    assert enc.future[i, j]
-                    assert enc.index[i, j] == 0
-                else:
-                    assert not enc.future[i, j]
-                    expected = mp_pe(int(offsets[i, j]), 6)
-                    np.testing.assert_allclose(enc.vectors[enc.index[i, j]], expected, atol=1e-15)
+        np.testing.assert_array_equal(enc.offsets, np.arange(7))
+        assert enc.runs == [(0, 2, 0), (2, 4, 5)]
+        length = offsets.shape[0]
+        for a, b, c in enc.runs:
+            for j in range(a, b):
+                for i in range(length):
+                    row = length - 1 - i + c + j - a
+                    if offsets[i, j] < 0:
+                        assert row >= enc.offsets.size
+                    else:
+                        np.testing.assert_allclose(enc.vectors[row], mp_pe(int(offsets[i, j]), 6), atol=1e-15)
 
-    def test_encode_offsets_deduplicates(self):
-        offsets = np.array([[4, 2, 0], [6, 4, 2]])
-        enc = relpos.encode_offsets(offsets, 4)
-        np.testing.assert_array_equal(enc.offsets, [0, 2, 4, 6])
-        assert enc.vectors.shape == (4, 4)
-        assert not enc.future.any()
+    def test_encode_offsets_fills_gaps_between_runs(self):
+        # memory rows 2, 3, 8..11 before the block 12..15
+        q_tags = relpos.block_tags(12, 4)
+        enc = relpos.encode_offsets(relpos.relative_offsets(q_tags, np.r_[2, 3, 8:12, q_tags]), 4)
+        np.testing.assert_array_equal(enc.offsets, np.arange(14))
+        assert enc.runs == [(0, 2, 0), (2, 10, 6)]
+        np.testing.assert_array_equal(enc.vectors, relpos.pe_matrix(np.arange(13, -1, -1), 4))
+
+    @pytest.mark.parametrize("skips", [0, 1, 2, 3])
+    def test_full_cache_after_skips_reaches_back(self, skips):
+        # memory M = 4 refreshed with positions 0..3, then k skipped blocks of L = 4
+        mem_len = length = 4
+        q_tags = relpos.block_tags(mem_len + skips * length, length)
+        enc = relpos.encode_offsets(relpos.relative_offsets(q_tags, np.r_[0:mem_len, q_tags]), 4)
+        assert enc.offsets.max() == mem_len + length - 1 + skips * length
+        if skips:
+            assert enc.runs == [(0, 4, 0), (4, 8, 4 + 4 * skips)]
+        else:
+            assert enc.runs == [(0, 8, 0)]
 
     def test_stale_memory_tags_expose_larger_offsets(self):
         # a buffer whose tags stopped advancing yields offsets beyond the
