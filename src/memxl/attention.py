@@ -96,6 +96,16 @@ class LayerAttentionParams:
             v=w(d_head),
         )
 
+    def crossed(self, sigma: HeadAssignment | None) -> "LayerAttentionParams":
+        """The parameters under ``sigma``: query head M reads the key, position
+        key and value projections of head sigma(M). ``self`` when no
+        assignment is active."""
+        if sigma is None or not sigma.cross_active:
+            return self
+        pick = sigma.sigma
+        return replace(self, w_ke=ad.index_rows(self.w_ke, pick), w_kr=ad.index_rows(self.w_kr, pick),
+                       w_v=ad.index_rows(self.w_v, pick))
+
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [
             (f"{prefix}.w_q", self.w_q),
@@ -116,11 +126,8 @@ def position_keys(enc: OffsetEncodings, w_kr: Tensor) -> Tensor:
 
 @dataclass
 class ProjectedMemory:
-    """Keys and values of a layer's memory rows, [B, H, M, d_h] each.
-
-    They are projected with the layer's own heads: a cross-head assignment
-    permutes the query side only, so it never changes them.
-    """
+    """Keys and values of a layer's memory rows, [B, H, M, d_h] each,
+    projected with the same (possibly crossed) parameters as the block's."""
 
     keys: Tensor
     values: Tensor
@@ -140,35 +147,22 @@ def multi_head_forward(
     memory: ProjectedMemory | None,
     enc: OffsetEncodings,
     params: LayerAttentionParams,
-    sigma: HeadAssignment | None = None,
     prune: np.ndarray | None = None,
     positions: Tensor | None = None,
 ) -> Tensor:
     """Full attention sublayer body on [B, L, d] queries: head projections,
-    the fused attention core (scores, softmax and per-head outputs in one
-    node), pruning, concatenation and output projection. Returns [B, L, d].
+    the fused attention core (scores, softmax and merged head outputs in one
+    node), pruning and output projection. Returns [B, L, d].
 
     ``memory`` holds the projected keys and values of the memory rows; it
     may be any object whose ``extend`` appends the block's to them. The
-    block's own keys and values are projected here.
-
-    Under an active cross-head assignment, query head M reads the keys,
-    position keys and values of head N = sigma(M). Equivalently, key/value
-    head N serves query head sigma^-1(N): the query heads, the output
-    projection's head blocks and the prune mask are permuted by sigma^-1,
-    and keys, values and position keys stay those of the layer's own heads.
+    block's own keys and values are projected here. Cross-head matching
+    happens before this call, in ``params.crossed``.
     """
     if prune is not None:
         prune = np.asarray(prune, dtype=bool)
         if prune.shape != (params.n_heads,):
             raise ValueError(f"prune mask must have length {params.n_heads}, got {prune.shape}")
-    w_o_t = ad.transpose(params.w_o)  # [H * d_h, d]
-    if sigma is not None and sigma.cross_active:
-        inv = np.argsort(sigma.sigma)  # the query head each key/value head serves
-        params = replace(params, w_q=ad.index_rows(params.w_q, inv))
-        w_o_t = ad.index_rows(w_o_t, (inv[:, None] * params.d_head + np.arange(params.d_head)).ravel())
-        prune = None if prune is None else prune[inv]
-
     keys = ad.project_heads(x_block, params.w_ke)  # [B, H, L, d_h]
     values = ad.project_heads(x_block, params.w_v)
     if memory is not None:
@@ -176,10 +170,7 @@ def multi_head_forward(
     if positions is None:
         positions = position_keys(enc, params.w_kr)
     q = ad.project_heads(x_block, params.w_q)
-    heads = ad.attention_core(q, keys, values, positions, params.u, params.v, enc)  # [B, H, L, d_h]
+    merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc)  # [B, L, H * d_h]
     if prune is not None:
-        heads = ad.mul(heads, Tensor(prune[None, :, None, None].astype(heads.dtype)))
-
-    batch, n_heads, length, d_head = heads.shape
-    merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (batch, length, n_heads * d_head))
-    return ad.matmul(merged, w_o_t)
+        merged = ad.mul(merged, Tensor(np.repeat(prune, params.d_head).astype(merged.dtype)))
+    return ad.linear(merged, params.w_o)

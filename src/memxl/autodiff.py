@@ -132,53 +132,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0), (a,), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy leading-dimension broadcasting.
-
-    A 2-D right operand is one [N, k] @ [k, n] GEMM over every leading row
-    of ``a``, and its gradient is one [k, N] @ [N, n] GEMM.
-    """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-
-    if b.ndim == 2:
-        a2d = a.data.reshape(-1, a.shape[-1])
-
-        def vjp_flat(g):
-            g2d = g.reshape(-1, b.shape[1])
-            return (g2d @ b.data.T).reshape(a.shape), a2d.T @ g2d
-
-        return _make((a2d @ b.data).reshape(a.shape[:-1] + b.shape[1:]), (a, b), vjp_flat)
-
-    def vjp(g):
-        ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
-        return ga, gb
-
-    return _make(np.matmul(a.data, b.data), (a, b), vjp)
-
-
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (g.transpose(inverse),)
-
-    return _make(a.data.transpose(axes), (a,), vjp)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    def vjp(g):
-        return (g.reshape(a.shape),)
-
-    return _make(a.data.reshape(shape), (a,), vjp)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     sizes = [t.shape[axis] for t in tensors]
@@ -223,6 +176,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(normed * gain.data + bias.data, (x, gain, bias), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """[..., n_in] rows through an [n_out, n_in] weight, plus an optional
+    [n_out] bias, as one [N, n_in] @ [n_in, n_out] GEMM."""
+    n_out, n_in = w.shape
+    if x.shape[-1] != n_in or (b is not None and b.shape != (n_out,)):
+        raise ValueError(f"linear shape mismatch: rows {x.shape}, weight {w.shape}, bias {None if b is None else b.shape}")
+    x2d = x.data.reshape(-1, n_in)
+    out = x2d @ w.data.T
+    if b is not None:
+        out += b.data
+
+    def vjp(g):
+        g2d = g.reshape(-1, n_out)
+        gx, gw = (g2d @ w.data).reshape(x.shape), (x2d.T @ g2d).T
+        return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
+
+    return _make(out.reshape(x.shape[:-1] + (n_out,)), (x, w) if b is None else (x, w, b), vjp)
+
+
 def project_heads(x: Tensor, w: Tensor) -> Tensor:
     """[..., T, d] rows through [H, d_h, d] per-head weights -> [..., H, T, d_h],
     as one GEMM with the [H * d_h, d] view of ``w``."""
@@ -252,8 +224,8 @@ def _relative_shift(grid: np.ndarray, length: int, span: int) -> np.ndarray:
 
 def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout) -> Tensor:
     """Relative-position attention of [B, H, L, d_h] queries over [B, H, K, d_h]
-    keys and values: the per-head outputs softmax(S) @ values, [B, H, L, d_h],
-    with
+    keys and values: the per-head outputs softmax(S) @ values, merged head by
+    head into [B, L, H * d_h] rows, with
 
         S[i, j] = ((q_i + u) . k_j + (q_i + v) . r_ij) / sqrt(d_h)
 
@@ -288,8 +260,10 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     out = np.matmul(p, values.data)
+    batch, n_heads = out.shape[:2]
 
     def vjp(g):
+        g = g.reshape(batch, length, n_heads, -1).swapaxes(1, 2)
         ds = np.matmul(g, values.data.swapaxes(-1, -2))
         ds -= np.sum(g * out, axis=-1, keepdims=True)
         ds *= p
@@ -311,7 +285,8 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
             _unbroadcast(gqv, v.shape),
         )
 
-    return _make(out, (q, keys, values, positions, u, v), vjp)
+    merged = out.swapaxes(1, 2).reshape(batch, length, -1)
+    return _make(merged, (q, keys, values, positions, u, v), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

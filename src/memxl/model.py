@@ -300,7 +300,7 @@ class MemoryLM:
 
     def project(self, h: Tensor) -> Tensor:
         """Logits via the transposed embedding table (tied weights)."""
-        return ad.matmul(h, ad.transpose(self.embedding))
+        return ad.linear(h, self.embedding)
 
     def _check_tokens(self, tokens) -> np.ndarray:
         tokens = np.asarray(tokens)
@@ -335,19 +335,17 @@ class MemoryLM:
         A ``MemoryState`` holds raw rows, which each call normalises and
         projects again, with the graph attached; the call returns a new
         state. A ``StreamState`` holds projections of the current
-        parameters, so it is accepted only under ``no_grad``; the call
-        advances it in place and returns it.
+        parameters through each layer's own heads, so it is accepted only
+        under ``no_grad`` and with no crossed heads; the call advances it
+        in place and returns it.
         """
         cfg = self.config
         stream = isinstance(mems, StreamState)
         if stream and ad.grad_enabled():
             raise RuntimeError("a stream state holds projections of fixed parameters; use it under no_grad only")
         tokens = self._check_tokens(tokens)
-        squeeze = tokens.ndim == 1
-        if squeeze:
-            tokens = tokens[None, :]
         if tokens.ndim != 2:
-            raise ValueError(f"tokens must be [L] or [B, L], got shape {tokens.shape}")
+            raise ValueError(f"tokens must be [B, L], got shape {tokens.shape}")
         batch, length = tokens.shape
 
         if len(mems.layers) != cfg.n_layers:
@@ -361,6 +359,8 @@ class MemoryLM:
             raise ValueError(f"skip mask must have length {cfg.n_layers}, got shape {skip_mask.shape}")
         if assignments is not None and len(assignments) != cfg.n_layers:
             raise ValueError(f"need one head assignment per layer, got {len(assignments)}")
+        if stream and assignments is not None and any(a.cross_active for a in assignments):
+            raise ValueError("a stream state caches its own heads' keys; it takes no crossed head assignment")
         prune = self._check_prune(prune)
 
         h = ad.index_rows(self.embedding, tokens)
@@ -393,6 +393,7 @@ class MemoryLM:
             if record is not None:
                 record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=layout.offsets))
 
+            attn_params = lp.attn.crossed(assignments[i] if assignments is not None else None)
             x_n = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
             if stream:
                 memory = lm
@@ -403,17 +404,16 @@ class MemoryLM:
                 memory = positions = None
                 if lm.buffer.shape[1] > 0:
                     rows = Tensor(lm.buffer.astype(cfg.dtype, copy=False))
-                    memory = project_memory(ad.layer_norm(rows, lp.ln_attn_g, lp.ln_attn_b), lp.attn)
-            sigma = assignments[i] if assignments is not None else None
+                    memory = project_memory(ad.layer_norm(rows, lp.ln_attn_g, lp.ln_attn_b), attn_params)
             prune_i = prune[i] if prune is not None else None
-            attn = multi_head_forward(x_n, memory, layout.enc, lp.attn, sigma, prune_i, positions)
+            attn = multi_head_forward(x_n, memory, layout.enc, attn_params, prune_i, positions)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 
             f_n = ad.layer_norm(h, lp.ln_ffn_g, lp.ln_ffn_b)
-            z = ad.relu(ad.add(ad.matmul(f_n, ad.transpose(lp.w_ff1)), lp.b_ff1))
+            z = ad.relu(ad.linear(f_n, lp.w_ff1, lp.b_ff1))
             z = ad.dropout(z, cfg.dropout, dropout_rng, training)
-            z = ad.add(ad.matmul(z, ad.transpose(lp.w_ff2)), lp.b_ff2)
+            z = ad.linear(z, lp.w_ff2, lp.b_ff2)
             z = ad.dropout(z, cfg.dropout, dropout_rng, training)
             h = ad.add(h, z)
 
@@ -421,8 +421,6 @@ class MemoryLM:
 
         final = ad.layer_norm(h, self.ln_out_g, self.ln_out_b)
         logits = self.project(final)
-        if squeeze:
-            logits = ad.reshape(logits, logits.shape[1:])
 
         if stream:
             mems.layers, mems.layouts, mems.next_position = new_layers, layouts, mems.next_position + length

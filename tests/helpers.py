@@ -18,7 +18,8 @@ def gather_attention(q, keys, values, positions, u, v, offsets) -> Tensor:
     """Reference for ``ad.attention_core``: the same scores, with the position
     term gathered through the [L, K] offset matrix by ``np.take_along_axis``
     and scattered back through a one-hot map, and the textbook softmax VJP.
-    ``positions`` is in shift order: row n - 1 - o holds offset o."""
+    ``positions`` is in shift order: row n - 1 - o holds offset o. The output
+    is merged head by head into [B, L, H * d_h] rows, as the core's is."""
     span, d_head = positions.shape[-2:]
     future = offsets < 0
     index = np.where(future, 0, span - 1 - offsets)
@@ -32,8 +33,11 @@ def gather_attention(q, keys, values, positions, u, v, offsets) -> Tensor:
     p[..., future] = -np.inf
     p = np.exp(p - p.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, values.data)
+    batch, n_heads, length = out.shape[:3]
 
     def vjp(g):
+        g = g.reshape(batch, length, n_heads, -1).swapaxes(1, 2)
         dp = np.matmul(g, values.data.swapaxes(-1, -2))
         ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * scale
         gpos = np.einsum("...lk,lkn->...ln", ds, onehot.astype(ds.dtype))
@@ -47,4 +51,5 @@ def gather_attention(q, keys, values, positions, u, v, offsets) -> Tensor:
             _unbroadcast(gqv, v.shape),
         )
 
-    return _make(np.matmul(p, values.data), (q, keys, values, positions, u, v), vjp)
+    merged = out.swapaxes(1, 2).reshape(batch, length, -1)
+    return _make(merged, (q, keys, values, positions, u, v), vjp)

@@ -55,11 +55,13 @@ def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None, 
     offsets = relative_offsets(query_tags, key_tags)
     enc = encode_offsets(offsets, x_block.shape[-1])
     x_t = ad.Tensor(x_block.reshape(-1, *x_block.shape[-2:]))
+    params = params.crossed(assignment)
     mem_t = None
     if memory is not None and len(memory):
         mem_t = attention.project_memory(ad.Tensor(memory.reshape(-1, *memory.shape[-2:])), params)
-    out = attention.multi_head_forward(x_t, mem_t, enc, params, assignment, prune)
-    return ad.reshape(out, x_block.shape)
+    out = attention.multi_head_forward(x_t, mem_t, enc, params, prune)
+    out.data = out.data.reshape(x_block.shape)  # the output projection's VJP reads its gradient flat
+    return out
 
 
 class TestForwardOracle:
@@ -180,10 +182,12 @@ class TestPruning:
 
 def core_probs(x, keys, enc, params):
     """Attention probabilities, [B, H, L, K], of [B, L, d] rows over [B, H, K, d_h]
-    projected keys: the fused core's output for identity values."""
-    eye = ad.Tensor(np.broadcast_to(np.eye(keys.shape[2]), keys.shape[:2] + (keys.shape[2],) * 2))
+    projected keys: the fused core's merged output for identity values, split by head."""
+    batch, n_heads, n_keys = keys.shape[:3]
+    eye = ad.Tensor(np.broadcast_to(np.eye(n_keys), (batch, n_heads, n_keys, n_keys)))
     q = ad.project_heads(x, params.w_q)
-    return ad.attention_core(q, keys, eye, attention.position_keys(enc, params.w_kr), params.u, params.v, enc).data
+    merged = ad.attention_core(q, keys, eye, attention.position_keys(enc, params.w_kr), params.u, params.v, enc)
+    return merged.data.reshape(batch, x.shape[1], n_heads, n_keys).swapaxes(1, 2)
 
 
 class TestScores:
@@ -262,6 +266,19 @@ class TestCrossHeadGradients:
         for w in (params.w_ke, params.w_kr, params.w_v):
             assert np.abs(w.grad[1]).max() > 0
             np.testing.assert_array_equal(w.grad[0], np.zeros((2, 4)))
+
+
+class TestCrossedParams:
+    def test_crossing_indexes_the_key_side_weights_only(self, rng):
+        params = make_params(rng)
+        sigma = np.array([2, 0, 1])
+        crossed = params.crossed(HeadAssignment(sigma=sigma, cross_active=True))
+        for name in ("w_ke", "w_kr", "w_v"):
+            np.testing.assert_array_equal(getattr(crossed, name).data, getattr(params, name).data[sigma])
+        for name in ("w_q", "w_o", "u", "v"):
+            assert getattr(crossed, name) is getattr(params, name)
+        assert params.crossed(None) is params
+        assert params.crossed(HeadAssignment.identity(3)) is params
 
 
 class TestAssignmentSampling:

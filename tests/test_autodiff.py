@@ -91,73 +91,64 @@ class TestElementwise:
         np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [a_np, b_np], 1), atol=1e-7)
 
 
-class TestMatmul:
+class TestLinear:
+    """One node: [..., n_in] rows through an [n_out, n_in] weight and an
+    optional [n_out] bias by a single GEMM."""
+
     def test_forward_matches_triple_loop(self, rng):
-        a_np = rng.standard_normal((3, 4))
-        b_np = rng.standard_normal((4, 5))
-        out = ad.matmul(ad.Tensor(a_np), ad.Tensor(b_np))
-        np.testing.assert_allclose(out.data, triple_loop_matmul(a_np, b_np), rtol=1e-13)
+        x_np = rng.standard_normal((2, 3, 5))
+        w_np = rng.standard_normal((4, 5))
+        b_np = rng.standard_normal(4)
+        plain = ad.linear(ad.Tensor(x_np), ad.Tensor(w_np))
+        biased = ad.linear(ad.Tensor(x_np), ad.Tensor(w_np), ad.Tensor(b_np))
+        loop = triple_loop_matmul(x_np.reshape(6, 5), w_np.T).reshape(2, 3, 4)
+        np.testing.assert_allclose(plain.data, loop, rtol=1e-13)
+        np.testing.assert_allclose(biased.data, loop + b_np, rtol=1e-13)
+        assert plain.data.tobytes() == (x_np @ w_np.T).tobytes()
+        assert biased.data.tobytes() == (x_np @ w_np.T + b_np).tobytes()
 
-    def test_batched_forward_matches_triple_loop(self, rng):
-        a_np = rng.standard_normal((2, 3, 4))
-        b_np = rng.standard_normal((2, 4, 5))
-        out = ad.matmul(ad.Tensor(a_np), ad.Tensor(b_np))
-        for i in range(2):
-            np.testing.assert_allclose(out.data[i], triple_loop_matmul(a_np[i], b_np[i]), rtol=1e-13)
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_grads_match_numeric(self, rng, bias):
+        x_np = rng.standard_normal((2, 3, 5))
+        w_np = rng.standard_normal((4, 5))
+        b_np = rng.standard_normal(4) if bias else np.zeros(4)
+        g_np = rng.standard_normal((2, 3, 4))
+        params = [ad.Tensor(a, requires_grad=True) for a in (x_np, w_np, b_np)[: 3 if bias else 2]]
+        out = ad.linear(*params)
+        assert out._parents == tuple(params)
+        ad.backward(sum_(ad.mul(out, ad.Tensor(g_np))))
 
-    def test_grads_match_numeric(self, rng):
-        a_np = rng.standard_normal((3, 4))
-        b_np = rng.standard_normal((4, 2))
-        w_np = rng.standard_normal((3, 2))
+        def loss_fn(x, w, b):
+            return float(np.sum((x @ w.T + b) * g_np))
 
-        def loss_fn(a, b, w):
-            return float(np.sum((a @ b) * w))
-
-        a = ad.Tensor(a_np, requires_grad=True)
-        b = ad.Tensor(b_np, requires_grad=True)
-        loss = sum_(ad.mul(ad.matmul(a, b), ad.Tensor(w_np)))
-        ad.backward(loss)
-
-        np.testing.assert_allclose(a.grad, numeric_grad(loss_fn, [a_np, b_np, w_np], 0), atol=1e-7)
-        np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [a_np, b_np, w_np], 1), atol=1e-7)
-
-    def test_broadcast_batch_grad_sums_over_batch(self, rng):
-        a_np = rng.standard_normal((2, 3, 4))
-        b_np = rng.standard_normal((4, 5))
-
-        def loss_fn(a, b):
-            return float(np.sum(a @ b))
-
-        a = ad.Tensor(a_np, requires_grad=True)
-        b = ad.Tensor(b_np, requires_grad=True)
-        ad.backward(sum_(ad.matmul(a, b)))
-        assert b.grad.shape == (4, 5)
-        np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [a_np, b_np], 1), atol=1e-7)
-        np.testing.assert_allclose(a.grad, numeric_grad(loss_fn, [a_np, b_np], 0), atol=1e-7)
+        for i, p in enumerate(params):
+            assert p.grad.shape == p.shape
+            np.testing.assert_allclose(p.grad, numeric_grad(loss_fn, [x_np, w_np, b_np], i), atol=1e-7)
 
     @pytest.mark.parametrize("lead", [(3,), (2, 3), (2, 2, 3)], ids=["2d", "3d", "4d"])
-    def test_2d_right_operand_matches_broadcasting_formula(self, rng, lead):
-        """A 2-D right operand runs one flat GEMM; its forward and VJP equal
-        numpy's broadcasting matmul and the per-batch sum of a^T g."""
-        a_np = rng.standard_normal((*lead, 4))
-        b_np = rng.standard_normal((4, 5))
-        w_np = rng.standard_normal((*lead, 5))
-        a = ad.Tensor(a_np, requires_grad=True)
-        b = ad.Tensor(b_np, requires_grad=True)
-        out = ad.matmul(a, b)
-        np.testing.assert_allclose(out.data, np.matmul(a_np, b_np), rtol=1e-13)
-        ad.backward(sum_(ad.mul(out, ad.Tensor(w_np))))
+    def test_matches_broadcasting_formula(self, rng, lead):
+        """Every leading axis is flattened into one GEMM; the weight and bias
+        gradients sum over all of them."""
+        x_np = rng.standard_normal((*lead, 4))
+        w_np = rng.standard_normal((5, 4))
+        b_np = rng.standard_normal(5)
+        g_np = rng.standard_normal((*lead, 5))
+        x, w, b = (ad.Tensor(a, requires_grad=True) for a in (x_np, w_np, b_np))
+        out = ad.linear(x, w, b)
+        np.testing.assert_allclose(out.data, np.matmul(x_np, w_np.T) + b_np, rtol=1e-13)
+        ad.backward(sum_(ad.mul(out, ad.Tensor(g_np))))
 
-        ga = np.matmul(w_np, b_np.T)
-        gb = np.matmul(np.swapaxes(a_np, -1, -2), w_np).reshape(-1, 4, 5).sum(axis=0)
-        np.testing.assert_allclose(a.grad, ga, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(b.grad, gb, rtol=1e-12, atol=1e-14)
+        gw = np.matmul(np.swapaxes(g_np, -1, -2), x_np).reshape(-1, 5, 4).sum(axis=0)
+        np.testing.assert_allclose(x.grad, np.matmul(g_np, w_np), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(b.grad, g_np.reshape(-1, 5).sum(axis=0), rtol=1e-12, atol=1e-14)
 
-        def loss_fn(a, b):
-            return float(np.sum(np.matmul(a, b) * w_np))
-
-        np.testing.assert_allclose(a.grad, numeric_grad(loss_fn, [a_np, b_np], 0), atol=1e-7)
-        np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [a_np, b_np], 1), atol=1e-7)
+    def test_rejects_mismatched_width_or_bias(self):
+        x, w = ad.Tensor(np.zeros((2, 3, 5))), ad.Tensor(np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear(x, ad.Tensor(np.zeros((4, 3))))
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear(x, w, ad.Tensor(np.zeros(5)))
 
 
 class TestProjectHeads:
@@ -195,21 +186,6 @@ class TestProjectHeads:
 
 
 class TestShapeOps:
-    def test_transpose_reshape_grads(self, rng):
-        x_np = rng.standard_normal((2, 3, 4))
-        w_np = rng.standard_normal((4, 3, 2))
-
-        def loss_fn(x, w):
-            return float(np.sum(np.transpose(x, (2, 1, 0)) * w))
-
-        x = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(sum_(ad.mul(ad.transpose(x, (2, 1, 0)), ad.Tensor(w_np))))
-        np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, w_np], 0), atol=1e-8)
-
-        y = ad.Tensor(x_np, requires_grad=True)
-        ad.backward(sum_(ad.mul(ad.reshape(y, (6, 4)), ad.Tensor(x_np.reshape(6, 4)))))
-        np.testing.assert_allclose(y.grad, x_np, atol=1e-12)
-
     def test_concat_roundtrip_and_grad_split(self, rng):
         a_np = rng.standard_normal((2, 3))
         b_np = rng.standard_normal((2, 5))
@@ -352,6 +328,12 @@ def core_inputs(rng, dtype, layout, batch=2, n_heads=3, d_head=4):
     ], enc, offsets
 
 
+def merged_shape(q):
+    """[B, L, H * d_h], the core's output shape for [B, H, L, d_h] queries ``q``."""
+    batch, n_heads, length, d_head = q.shape
+    return batch, length, n_heads * d_head
+
+
 def core_run(op, inputs, layout, weights):
     """``op(*inputs, layout)`` and the gradients of sum(output * weights) for each input."""
     for x in inputs:
@@ -369,16 +351,20 @@ def fused_calls(dtype, rng):
     b = ad.Tensor(rng.standard_normal(5).astype(dtype), requires_grad=True)
     logits = ad.Tensor(rng.standard_normal((2, 3, 5)).astype(dtype), requires_grad=True)
     core, enc, _ = core_inputs(rng, dtype, "filling")
+    w = ad.Tensor(rng.standard_normal((4, 5)).astype(dtype), requires_grad=True)
+    bias = ad.Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True)
     return [
         ("layer_norm", ad.layer_norm(x, g, b), (x, g, b)),
         ("cross_entropy", ad.cross_entropy(logits, np.array([[0, 4, 2], [1, 1, 3]])), (logits,)),
         ("attention_core", ad.attention_core(*core, enc), tuple(core)),
+        ("linear", ad.linear(x, w, bias), (x, w, bias)),
     ]
 
 
 class TestFused:
-    """layer_norm, cross_entropy and the attention core each record one node whose VJP
-    is written by hand; these check it against numpy and central differences."""
+    """layer_norm, cross_entropy, the attention core and linear each record one
+    node whose VJP is written by hand; these check it against numpy and central
+    differences."""
 
     def test_each_records_one_node(self, rng):
         for name, out, inputs in fused_calls(np.float64, rng):
@@ -431,7 +417,7 @@ class TestAttentionCore:
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_shift_and_gather_paths_agree(self, rng, layout):
         inputs, enc, offsets = core_inputs(rng, np.float64, layout)
-        weights = rng.standard_normal(inputs[0].shape)
+        weights = rng.standard_normal(merged_shape(inputs[0]))
         shift_out, shift_grads = core_run(ad.attention_core, inputs, enc, weights)
         gather_out, gather_grads = core_run(gather_attention, inputs, offsets, weights)
         assert shift_out.tobytes() == gather_out.tobytes()
@@ -446,7 +432,7 @@ class TestAttentionCore:
         layout = {"shift": "filling", "gather": "gapped"}.get(case, case)
         inputs, enc, offsets = core_inputs(rng, np.float64, layout, n_heads=2, d_head=3)
         op, arg = (gather_attention, offsets) if case == "gather" else (ad.attention_core, enc)
-        weights = rng.standard_normal(inputs[0].shape)
+        weights = rng.standard_normal(merged_shape(inputs[0]))
         _, grads = core_run(op, inputs, arg, weights)
 
         def loss_fn(*arrays):
@@ -459,7 +445,7 @@ class TestAttentionCore:
     @pytest.mark.parametrize("layout", ["filling", "gapped"])
     def test_float32_in_float32_out(self, rng, layout):
         inputs, enc, _ = core_inputs(rng, np.float32, layout)
-        weights = rng.standard_normal(inputs[0].shape).astype(np.float32)
+        weights = rng.standard_normal(merged_shape(inputs[0])).astype(np.float32)
         out, grads = core_run(ad.attention_core, inputs, enc, weights)
         assert out.dtype == np.float32
         assert [g.dtype for g in grads] == [np.float32] * 6
@@ -473,15 +459,15 @@ class TestAttentionCore:
         # the block's last key is in the future of every query but the last
         for layout in ("filling", "stale1"):
             inputs, enc, _ = core_inputs(rng, np.float64, layout)
-            weights = rng.standard_normal(inputs[0].shape)
-            weights[:, :, -1] = 0.0
+            weights = rng.standard_normal(merged_shape(inputs[0]))
+            weights[:, -1] = 0.0
             out, grads = core_run(ad.attention_core, inputs, enc, weights)
             assert np.all(grads[1][:, :, -1] == 0.0) and np.all(grads[2][:, :, -1] == 0.0)
             for x in inputs[1:3]:
                 x.data[:, :, -1] = 1e6
             moved, _ = core_run(ad.attention_core, inputs, enc, weights)
-            np.testing.assert_array_equal(moved[:, :, :-1], out[:, :, :-1])
-            assert not np.array_equal(moved[:, :, -1], out[:, :, -1])
+            np.testing.assert_array_equal(moved[:, :-1], out[:, :-1])
+            assert not np.array_equal(moved[:, -1], out[:, -1])
 
     def test_rejects_layout_of_other_queries_or_keys(self, rng):
         inputs, _, _ = core_inputs(rng, np.float64, "stale1")  # 4 queries, 8 keys

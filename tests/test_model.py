@@ -71,13 +71,26 @@ class TestUpdateMemory:
         assert isinstance(out.buffer, np.ndarray)
 
 
+def straight_line_logits(model, x1, x2, sigma):
+    """Logits of a one-layer model for block rows ``x2`` after memory rows
+    ``x1``, four of each, with the attention loop oracle under ``sigma``."""
+    lp = model.layers[0]
+    xn = ln_ref(x2, lp.ln_attn_g.data, lp.ln_attn_b.data)
+    memn = ln_ref(x1, lp.ln_attn_g.data, lp.ln_attn_b.data)
+    attn = oracle_forward(xn, memn, np.arange(4, 8), np.arange(8), lp.attn, sigma=sigma)
+    h = x2 + attn
+    fn = ln_ref(h, lp.ln_ffn_g.data, lp.ln_ffn_b.data)
+    z = np.maximum(fn @ lp.w_ff1.data.T + lp.b_ff1.data, 0.0) @ lp.w_ff2.data.T + lp.b_ff2.data
+    h = h + z
+    return ln_ref(h, model.ln_out_g.data, model.ln_out_b.data) @ model.embedding.data.T
+
+
 class TestForwardOracle:
     def test_single_layer_matches_straight_line_reimplementation(self):
         model = fresh_model(n_layers=1)
         cfg = model.config
-        lp = model.layers[0]
-        tokens1 = np.array([1, 2, 3, 4])
-        tokens2 = np.array([5, 6, 7, 8])
+        tokens1 = np.array([[1, 2, 3, 4]])
+        tokens2 = np.array([[5, 6, 7, 8]])
 
         mems = model.init_memory(1)
         with ad.no_grad():
@@ -85,25 +98,30 @@ class TestForwardOracle:
             logits, _ = model.forward(tokens2, mems)
 
         E = model.embedding.data
-        x1 = E[tokens1]
-        x2 = E[tokens2]
+        x1 = E[tokens1[0]]
+        x2 = E[tokens2[0]]
         np.testing.assert_array_equal(mems.layers[0].buffer[0], x1)
         np.testing.assert_array_equal(mems.layers[0].tags, [0, 1, 2, 3])
 
-        xn = ln_ref(x2, lp.ln_attn_g.data, lp.ln_attn_b.data)
-        memn = ln_ref(x1, lp.ln_attn_g.data, lp.ln_attn_b.data)
-        attn = oracle_forward(xn, memn, np.arange(4, 8), np.arange(8), lp.attn, sigma=None)
-        h = x2 + attn
-        fn = ln_ref(h, lp.ln_ffn_g.data, lp.ln_ffn_b.data)
-        z = np.maximum(fn @ lp.w_ff1.data.T + lp.b_ff1.data, 0.0) @ lp.w_ff2.data.T + lp.b_ff2.data
-        h = h + z
-        want = ln_ref(h, model.ln_out_g.data, model.ln_out_b.data) @ E.T
+        want = straight_line_logits(model, x1, x2, sigma=None)
+        np.testing.assert_allclose(logits.data[0], want, rtol=1e-11, atol=1e-13)
 
-        np.testing.assert_allclose(logits.data, want, rtol=1e-11, atol=1e-13)
+    def test_crossed_layer_matches_straight_line_reimplementation(self):
+        """Under crossing, the memory rows are projected with the matched
+        heads' key and value weights too."""
+        model = fresh_model(n_layers=1)
+        tokens1, tokens2 = np.array([[1, 2, 3, 4]]), np.array([[5, 6, 7, 8]])
+        sigma = np.array([1, 0])
+        with ad.no_grad():
+            _, mems = model.forward(tokens1, model.init_memory(1))
+            logits, _ = model.forward(tokens2, mems, assignments=[HeadAssignment(sigma, cross_active=True)])
+        E = model.embedding.data
+        want = straight_line_logits(model, E[tokens1[0]], E[tokens2[0]], sigma)
+        np.testing.assert_allclose(logits.data[0], want, rtol=1e-11, atol=1e-13)
 
     def test_skip_all_layers_reduces_to_normalized_embedding_projection(self):
         model = fresh_model()
-        tokens = np.array([3, 1, 4, 1])
+        tokens = np.array([[3, 1, 4, 1]])
         mems = model.init_memory(1)
         logits, new_mems = model.forward(tokens, mems, skip_mask=np.ones(2, dtype=bool))
 
@@ -116,7 +134,7 @@ class TestForwardOracle:
             assert lm_new.staleness == lm_old.staleness + 1
         assert new_mems.next_position == 4
 
-        loss = ad.cross_entropy(logits, np.array([1, 4, 1, 5]))
+        loss = ad.cross_entropy(logits, np.array([[1, 4, 1, 5]]))
         ad.backward(loss)
         for name, p in model.named_parameters():
             if name.startswith("layers."):
@@ -128,7 +146,7 @@ class TestForwardOracle:
 class TestForwardSemantics:
     def test_identity_inputs_change_nothing_bitwise(self):
         model = fresh_model()
-        tokens = np.array([1, 2, 3, 4])
+        tokens = np.array([[1, 2, 3, 4]])
         base, _ = model.forward(tokens, model.init_memory(1))
         explicit, _ = model.forward(
             tokens,
@@ -148,10 +166,10 @@ class TestForwardSemantics:
 
     def test_future_tokens_cannot_influence_earlier_logits(self):
         model = fresh_model()
-        a, _ = model.forward(np.array([1, 2, 3, 4]), model.init_memory(1))
-        b, _ = model.forward(np.array([1, 2, 3, 9]), model.init_memory(1))
-        np.testing.assert_array_equal(a.data[:3], b.data[:3])
-        assert not np.array_equal(a.data[3], b.data[3])
+        a, _ = model.forward(np.array([[1, 2, 3, 4]]), model.init_memory(1))
+        b, _ = model.forward(np.array([[1, 2, 3, 9]]), model.init_memory(1))
+        np.testing.assert_array_equal(a.data[0, :3], b.data[0, :3])
+        assert not np.array_equal(a.data[0, 3], b.data[0, 3])
 
     def test_stale_layer_sees_enlarged_offsets(self):
         model = fresh_model(n_layers=1, mem_len=2, block_len=2)
@@ -159,7 +177,7 @@ class TestForwardSemantics:
         record: list[LayerTrace] = []
         masks = [[False], [True], [True], [False]]
         for step, mask in enumerate(masks):
-            tokens = np.array([1 + 2 * step, 2 + 2 * step]) % model.config.vocab_size
+            tokens = np.array([[1 + 2 * step, 2 + 2 * step]]) % model.config.vocab_size
             _, mems = model.forward(tokens, mems, skip_mask=np.array(mask), record=record)
 
         assert [t.skipped for t in record] == [False, True, True, False]
@@ -180,15 +198,15 @@ class TestForwardSemantics:
         monkeypatch.setattr(model_module, "encode_offsets", counting)
         model = fresh_model(n_layers=3, mem_len=4, block_len=2)
         mems = model.init_memory(1)
-        _, mems = model.forward(np.array([1, 2]), mems)
+        _, mems = model.forward(np.array([[1, 2]]), mems)
         calls.clear()
 
         record: list[LayerTrace] = []
-        _, mems = model.forward(np.array([3, 4]), mems, record=record)
+        _, mems = model.forward(np.array([[3, 4]]), mems, record=record)
         assert len(calls) == 1  # no skip: every cache holds tags 0, 1
-        _, mems = model.forward(np.array([5, 6]), mems, skip_mask=np.array([False, True, False]), record=record)
+        _, mems = model.forward(np.array([[5, 6]]), mems, skip_mask=np.array([False, True, False]), record=record)
         calls.clear()
-        _, mems = model.forward(np.array([7, 8]), mems, record=record)
+        _, mems = model.forward(np.array([[7, 8]]), mems, record=record)
         assert len(calls) == 2  # layer 1's stale cache holds 0..3, the others 2..5
         assert [t.staleness for t in record[-3:]] == [0, 1, 0]
 
@@ -200,7 +218,7 @@ class TestForwardSemantics:
         model = fresh_model(mem_len=4, block_len=2)
         mems = model.init_memory(1)
         for step in range(3):
-            tokens = np.array([step, step + 1])
+            tokens = np.array([[step, step + 1]])
             _, mems = model.forward(tokens, mems)
         np.testing.assert_array_equal(mems.layers[0].tags, [2, 3, 4, 5])
         assert mems.layers[0].buffer.shape == (1, 4, 8)
@@ -208,8 +226,8 @@ class TestForwardSemantics:
 
     def test_embedding_grad_arrives_from_projection_for_absent_tokens(self):
         model = fresh_model()
-        logits, _ = model.forward(np.array([1, 2]), model.init_memory(1))
-        ad.backward(ad.cross_entropy(logits, np.array([2, 3])))
+        logits, _ = model.forward(np.array([[1, 2]]), model.init_memory(1))
+        ad.backward(ad.cross_entropy(logits, np.array([[2, 3]])))
         # token 9 never appears in the input, yet the tied projection
         # touches every vocabulary row
         assert np.abs(model.embedding.grad[9]).max() > 0
@@ -217,7 +235,7 @@ class TestForwardSemantics:
     def test_float32_mode_produces_float32(self):
         model = fresh_model(param_dtype="float32")
         assert model.embedding.dtype == np.float32
-        logits, _ = model.forward(np.array([1, 2, 3]), model.init_memory(1))
+        logits, _ = model.forward(np.array([[1, 2, 3]]), model.init_memory(1))
         assert logits.dtype == np.float32
 
 
@@ -248,12 +266,40 @@ class TestStaleCacheGradient:
                 _, mems = model.forward(tokens, mems)
 
 
+def graph_size(loss) -> int:
+    """Tensors ``backward`` visits: ``loss`` and every ancestor that requires
+    grad, parameters included (the benchmark's ``autodiff.nodes_per_step`` rule)."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestGraphSize:
+    @pytest.mark.parametrize("crossed, want", [(False, 73), (True, 79)], ids=["plain", "crossed"])
+    def test_training_step_graph_size(self, crossed, want):
+        """Per layer with memory: 15 parameters and 18 nodes, 3 of them the
+        memory's layer norm and projections; crossing adds one index per
+        key-side weight. Per step: the embedding, its lookup, the final norm
+        and its 2 parameters, the logits and the loss."""
+        model = fresh_model()
+        tokens = np.random.default_rng(0).integers(0, model.config.vocab_size, size=(3, 2, 4))
+        with ad.no_grad():
+            _, mems = model.forward(tokens[0], model.init_memory(2))
+        sigma = HeadAssignment(np.array([1, 0]), cross_active=True) if crossed else HeadAssignment.identity(2)
+        logits, _ = model.forward(tokens[1], mems, assignments=[sigma] * 2, training=True)
+        assert graph_size(ad.cross_entropy(logits, tokens[2])) == want
+
+
 class TestStopGradient:
     def test_no_gradient_flows_through_cached_activations(self):
         model = fresh_model(n_layers=1, vocab_size=8, mem_len=3, block_len=3)
-        tokens1 = np.array([0, 1, 2])
-        tokens2 = np.array([4, 5, 6])
-        targets2 = np.array([5, 6, 7])
+        tokens1 = np.array([[0, 1, 2]])
+        tokens2 = np.array([[4, 5, 6]])
+        targets2 = np.array([[5, 6, 7]])
         row = 1  # appears in step one only
 
         with ad.no_grad():
@@ -298,13 +344,15 @@ class TestValidation:
         model = fresh_model()
         mems = model.init_memory(1)
         with pytest.raises(ValueError, match="out of range"):
-            model.forward(np.array([0, 11]), mems)
+            model.forward(np.array([[0, 11]]), mems)
         with pytest.raises(ValueError, match="out of range"):
-            model.forward(np.array([-1]), mems)
+            model.forward(np.array([[-1]]), mems)
         with pytest.raises(ValueError, match="integers"):
-            model.forward(np.array([0.5]), mems)
+            model.forward(np.array([[0.5]]), mems)
         with pytest.raises(ValueError, match="empty"):
-            model.forward(np.array([], dtype=np.int64), mems)
+            model.forward(np.zeros((1, 0), dtype=np.int64), mems)
+        with pytest.raises(ValueError, match=r"tokens must be \[B, L\]"):
+            model.forward(np.array([1, 2]), mems)
 
     def test_memory_shape_checks(self):
         model = fresh_model()
@@ -312,17 +360,17 @@ class TestValidation:
             model.forward(np.array([[1, 2], [3, 4]]), model.init_memory(1))
         bad = MemoryState.fresh(3, 4, 1, 8)
         with pytest.raises(ValueError, match="layers"):
-            model.forward(np.array([1, 2]), bad)
+            model.forward(np.array([[1, 2]]), bad)
 
     def test_mask_shape_checks(self):
         model = fresh_model()
         mems = model.init_memory(1)
         with pytest.raises(ValueError, match="skip mask"):
-            model.forward(np.array([1, 2]), mems, skip_mask=np.zeros(3, dtype=bool))
+            model.forward(np.array([[1, 2]]), mems, skip_mask=np.zeros(3, dtype=bool))
         with pytest.raises(ValueError, match="head assignment"):
-            model.forward(np.array([1, 2]), mems, assignments=[HeadAssignment.identity(2)])
+            model.forward(np.array([[1, 2]]), mems, assignments=[HeadAssignment.identity(2)])
         with pytest.raises(ValueError, match="prune"):
-            model.forward(np.array([1, 2]), mems, prune=np.ones((1, 2), dtype=bool))
+            model.forward(np.array([[1, 2]]), mems, prune=np.ones((1, 2), dtype=bool))
 
     def test_config_checks(self):
         with pytest.raises(ValueError, match="even"):

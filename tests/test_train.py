@@ -8,6 +8,7 @@ import memxl.autodiff as ad
 import memxl.model as model_module
 from conftest import PANGRAM_TEXT, tiny_config
 from memxl import MemoryLM, RngHub, SkipSchedule, TrainConfig, Trainer, train
+from memxl.attention import HeadAssignment
 from memxl.checkpoint import load_checkpoint, save_checkpoint
 from memxl.data import batchify, corpus_from_text
 from memxl.model import StreamState
@@ -177,11 +178,24 @@ class TestStreamingEvaluation:
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
         stream = StreamState.fresh(model.config, 1, 4, 4)
         with pytest.raises(RuntimeError, match="no_grad"):
-            model.forward(np.array([1, 2, 3, 4]), stream)
+            model.forward(np.array([[1, 2, 3, 4]]), stream)
         with ad.no_grad():
-            _, advanced = model.forward(np.array([1, 2, 3, 4]), stream)
+            _, advanced = model.forward(np.array([[1, 2, 3, 4]]), stream)
         assert advanced is stream and stream.next_position == 4
         np.testing.assert_array_equal(stream.layers[0].tags, [0, 1, 2, 3])
+
+    def test_stream_state_refuses_crossed_heads(self):
+        """A stream caches keys projected by each layer's own heads, which a
+        crossed block's keys would not match."""
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        stream = StreamState.fresh(model.config, 1, 4, 4)
+        crossed = [HeadAssignment.identity(2), HeadAssignment(np.array([1, 0]), cross_active=True)]
+        with ad.no_grad():
+            with pytest.raises(ValueError, match="crossed"):
+                model.forward(np.array([[1, 2, 3, 4]]), stream, assignments=crossed)
+            assert stream.next_position == 0 and len(stream.layers[1].tags) == 0
+            model.forward(np.array([[1, 2, 3, 4]]), stream, assignments=[HeadAssignment.identity(2)] * 2)
+        assert stream.next_position == 4
 
     def test_calls_that_the_benchmark_times_and_traces(self, monkeypatch):
         """One MemoryLM.forward per block; per block, update_memory once per
