@@ -82,11 +82,18 @@ def run_prune_experiment(
 ) -> PruneReport:
     """Evaluate the baseline once, then once per single pruned head.
 
-    Each evaluation is independent, so the sweep is order-invariant.
+    Each evaluation is independent, so the sweep is order-invariant. A
+    ``reference_stddev`` is checked before the first evaluation.
     """
     n_layers, n_heads = model.config.n_layers, model.config.n_heads
     if n_heads < 2:
         raise ValueError("single-head layers cannot be pruned meaningfully; need n_heads >= 2")
+    if reference_stddev is not None:
+        reference_stddev = np.asarray(reference_stddev, dtype=np.float64)
+        if reference_stddev.shape != (n_layers,):
+            raise ValueError(f"reference stddev must have length {n_layers}, got {reference_stddev.shape}")
+        if not reference_stddev.all():
+            raise ValueError("reference value is zero; percent change undefined")
     baseline = evaluate(model, ids, eval_context, eval_block)
     delta = np.zeros((n_layers, n_heads))
     for layer in range(n_layers):
@@ -97,9 +104,6 @@ def run_prune_experiment(
     stddev = np.array([sample_stddev(row) for row in delta])
     change = None
     if reference_stddev is not None:
-        reference_stddev = np.asarray(reference_stddev, dtype=np.float64)
-        if reference_stddev.shape != (n_layers,):
-            raise ValueError(f"reference stddev must have length {n_layers}, got {reference_stddev.shape}")
         change = np.array([pct_change(new, ref) for new, ref in zip(stddev, reference_stddev)])
     return PruneReport(baseline_ppl=baseline.ppl, delta=delta, stddev=stddev, stddev_change=change)
 

@@ -106,27 +106,16 @@ class LayerAttentionParams:
         return replace(self, w_ke=ad.index_rows(self.w_ke, pick), w_kr=ad.index_rows(self.w_kr, pick),
                        w_v=ad.index_rows(self.w_v, pick))
 
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w_q", self.w_q),
-            (f"{prefix}.w_ke", self.w_ke),
-            (f"{prefix}.w_kr", self.w_kr),
-            (f"{prefix}.w_v", self.w_v),
-            (f"{prefix}.w_o", self.w_o),
-            (f"{prefix}.u", self.u),
-            (f"{prefix}.v", self.v),
-        ]
-
 
 def position_keys(enc: OffsetEncodings, w_kr: Tensor) -> Tensor:
-    """Each head's projection of the encoded offsets, [1, H, n, d_h], in the
-    encoding's shift order, which is the order ``ad.attention_core`` reads."""
-    return ad.project_heads(Tensor(enc.vectors[None].astype(w_kr.dtype, copy=False)), w_kr)
+    """Each head's projection of the encoded offsets, [1, n, H * d_h] rows, in
+    the encoding's shift order, which is the order ``ad.attention_core`` reads."""
+    return ad.linear(Tensor(enc.vectors[None].astype(w_kr.dtype, copy=False)), w_kr)
 
 
 @dataclass
 class ProjectedMemory:
-    """Keys and values of a layer's memory rows, [B, H, M, d_h] each,
+    """Keys and values of a layer's memory rows, [B, M, H * d_h] each,
     projected with the same (possibly crossed) parameters as the block's."""
 
     keys: Tensor
@@ -134,12 +123,12 @@ class ProjectedMemory:
 
     def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         """Keys and values of the memory rows followed by the block's."""
-        return ad.concat([self.keys, keys], axis=2), ad.concat([self.values, values], axis=2)
+        return ad.concat([self.keys, keys], axis=1), ad.concat([self.values, values], axis=1)
 
 
 def project_memory(rows: Tensor, params: LayerAttentionParams) -> ProjectedMemory:
     """Keys and values of [B, M, d] normalised memory rows."""
-    return ProjectedMemory(ad.project_heads(rows, params.w_ke), ad.project_heads(rows, params.w_v))
+    return ProjectedMemory(ad.linear(rows, params.w_ke), ad.linear(rows, params.w_v))
 
 
 def multi_head_forward(
@@ -147,29 +136,28 @@ def multi_head_forward(
     memory: ProjectedMemory | None,
     enc: OffsetEncodings,
     params: LayerAttentionParams,
+    positions: Tensor,
     prune: np.ndarray | None = None,
-    positions: Tensor | None = None,
 ) -> Tensor:
-    """Full attention sublayer body on [B, L, d] queries: head projections,
-    the fused attention core (scores, softmax and merged head outputs in one
-    node), pruning and output projection. Returns [B, L, d].
+    """Full attention sublayer body on [B, L, d] queries: row projections, the
+    fused attention core (head split, scores, softmax and merged head outputs
+    in one node), pruning and output projection. Returns [B, L, d].
 
-    ``memory`` holds the projected keys and values of the memory rows; it
-    may be any object whose ``extend`` appends the block's to them. The
-    block's own keys and values are projected here. Cross-head matching
-    happens before this call, in ``params.crossed``.
+    ``memory`` holds the projected [B, M, H * d_h] keys and values of the
+    memory rows; it may be any object whose ``extend`` appends the block's to
+    them. ``positions`` holds the [1, n, H * d_h] position keys of ``enc``
+    (``position_keys``). The block's own keys and values are projected here.
+    Cross-head matching happens before this call, in ``params.crossed``.
     """
     if prune is not None:
         prune = np.asarray(prune, dtype=bool)
         if prune.shape != (params.n_heads,):
             raise ValueError(f"prune mask must have length {params.n_heads}, got {prune.shape}")
-    keys = ad.project_heads(x_block, params.w_ke)  # [B, H, L, d_h]
-    values = ad.project_heads(x_block, params.w_v)
+    keys = ad.linear(x_block, params.w_ke)  # [B, L, H * d_h]
+    values = ad.linear(x_block, params.w_v)
     if memory is not None:
         keys, values = memory.extend(keys, values)
-    if positions is None:
-        positions = position_keys(enc, params.w_kr)
-    q = ad.project_heads(x_block, params.w_q)
+    q = ad.linear(x_block, params.w_q)
     merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc)  # [B, L, H * d_h]
     if prune is not None:
         merged = ad.mul(merged, Tensor(np.repeat(prune, params.d_head).astype(merged.dtype)))

@@ -177,39 +177,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """[..., n_in] rows through an [n_out, n_in] weight, plus an optional
-    [n_out] bias, as one [N, n_in] @ [n_in, n_out] GEMM."""
-    n_out, n_in = w.shape
+    """[..., n_in] rows through a weight whose last axis is n_in and whose
+    leading axes, flattened, are the n_out outputs ([n_out, n_in], or
+    [H, d_h, n_in] per-head weights giving H * d_h outputs, head by head),
+    plus an optional [n_out] bias, as one [N, n_in] @ [n_in, n_out] GEMM."""
+    n_in = w.shape[-1]
+    w2d = w.data.reshape(-1, n_in)
+    n_out = w2d.shape[0]
     if x.shape[-1] != n_in or (b is not None and b.shape != (n_out,)):
         raise ValueError(f"linear shape mismatch: rows {x.shape}, weight {w.shape}, bias {None if b is None else b.shape}")
     x2d = x.data.reshape(-1, n_in)
-    out = x2d @ w.data.T
+    out = x2d @ w2d.T
     if b is not None:
         out += b.data
 
     def vjp(g):
         g2d = g.reshape(-1, n_out)
-        gx, gw = (g2d @ w.data).reshape(x.shape), (x2d.T @ g2d).T
+        gx = (g2d @ w2d).reshape(x.shape)
+        # the same values either way; a per-head weight's gradient is made in C
+        # order, since a strided view would change the order clipping sums it in
+        gw = (x2d.T @ g2d).T if w.ndim == 2 else (g2d.T @ x2d).reshape(w.shape)
         return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
 
     return _make(out.reshape(x.shape[:-1] + (n_out,)), (x, w) if b is None else (x, w, b), vjp)
-
-
-def project_heads(x: Tensor, w: Tensor) -> Tensor:
-    """[..., T, d] rows through [H, d_h, d] per-head weights -> [..., H, T, d_h],
-    as one GEMM with the [H * d_h, d] view of ``w``."""
-    n_heads, d_head, d = w.shape
-    if x.shape[-1] != d or x.ndim < 2:
-        raise ValueError(f"project_heads needs [..., T, {d}] rows, got {x.shape}")
-    x2d = x.data.reshape(-1, d)
-    w2d = w.data.reshape(n_heads * d_head, d)
-    out = (x2d @ w2d.T).reshape(x.shape[:-1] + (n_heads, d_head))
-
-    def vjp(g):
-        g2d = g.swapaxes(-3, -2).reshape(-1, n_heads * d_head)
-        return (g2d @ w2d).reshape(x.shape), (g2d.T @ x2d).reshape(w.shape)
-
-    return _make(out.swapaxes(-3, -2), (x, w), vjp)
 
 
 def _relative_shift(grid: np.ndarray, length: int, span: int) -> np.ndarray:
@@ -223,32 +213,45 @@ def _relative_shift(grid: np.ndarray, length: int, span: int) -> np.ndarray:
 
 
 def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout) -> Tensor:
-    """Relative-position attention of [B, H, L, d_h] queries over [B, H, K, d_h]
-    keys and values: the per-head outputs softmax(S) @ values, merged head by
-    head into [B, L, H * d_h] rows, with
+    """Relative-position attention of [B, L, H * d_h] query rows over
+    [B, K, H * d_h] key rows and [B, K, H * d_v] value rows, with d_h the
+    width of ``u`` and ``v``: each head's softmax(S) @ values, merged head by
+    head into [B, L, H * d_v] rows, with
 
         S[i, j] = ((q_i + u) . k_j + (q_i + v) . r_ij) / sqrt(d_h)
 
     where r_ij is the position key for the offset of query i to key j.
     ``layout`` is the ``relpos.OffsetEncodings`` of those offsets, and
-    ``positions`` holds its [1, H, n, d_h] position keys in shift order. The
+    ``positions`` holds its [1, n, H * d_h] position keys in shift order. The
     last L keys are the queries' own, so the future slots are the trailing
     [L, L] upper triangle; they get -inf.
 
-    The relative shift of (q + v) @ positions^T scores every query against
-    the n positions of the layout's gap-filled run; each run of keys reads
-    one column slice of it. The VJP uses rowsum(dP * P) = rowsum(dO * O)
-    (FlashAttention), so the softmax backward needs no second [B, H, L, K]
-    array.
+    The rows are split into heads by a [B, H, T, d_h] view, and the head
+    outputs merged back by a copy of the swapped view; the VJP undoes both,
+    so every gradient comes back in rows. The relative shift of
+    (q + v) @ positions^T scores every query against the n positions of the
+    layout's gap-filled run; each run of keys reads one column slice of it.
+    The VJP uses rowsum(dP * P) = rowsum(dO * O) (FlashAttention), so the
+    softmax backward needs no second [B, H, L, K] array.
     """
-    length, n_keys, span, d_head = q.shape[-2], keys.shape[-2], positions.shape[-2], q.shape[-1]
+    d_head = u.shape[-1]
+    n_heads = q.shape[-1] // d_head
+
+    def heads(rows):
+        return rows.reshape(rows.shape[:2] + (n_heads, -1)).swapaxes(1, 2)
+
+    def merge(split):
+        return split.swapaxes(1, 2).reshape(split.shape[0], split.shape[2], -1)
+
+    qh, kh, vh, ph = (heads(x.data) for x in (q, keys, values, positions))
+    length, n_keys, span = qh.shape[-2], kh.shape[-2], ph.shape[-2]
     first, last, _ = layout.runs[-1]
     if last != n_keys or last - first < length:
         raise ValueError(f"encoding runs {layout.runs} do not match {length} queries by {n_keys} keys")
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
-    qu, qv = q.data + u.data, q.data + v.data
-    shifted = _relative_shift(np.matmul(qv, positions.data.swapaxes(-1, -2)), length, span)
-    p = np.matmul(qu, keys.data.swapaxes(-1, -2))
+    qu, qv = qh + u.data, qh + v.data
+    shifted = _relative_shift(np.matmul(qv, ph.swapaxes(-1, -2)), length, span)
+    p = np.matmul(qu, kh.swapaxes(-1, -2))
     for a, b, c in layout.runs:
         p[..., a:b] += shifted[..., c:c + b - a]
     p *= scale
@@ -259,12 +262,11 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     p -= peak
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = np.matmul(p, values.data)
-    batch, n_heads = out.shape[:2]
+    out = np.matmul(p, vh)
 
     def vjp(g):
-        g = g.reshape(batch, length, n_heads, -1).swapaxes(1, 2)
-        ds = np.matmul(g, values.data.swapaxes(-1, -2))
+        g = heads(g)
+        ds = np.matmul(g, vh.swapaxes(-1, -2))
         ds -= np.sum(g * out, axis=-1, keepdims=True)
         ds *= p
         ds *= scale
@@ -274,19 +276,18 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         for a, b, c in layout.runs:
             gshift[..., c:c + b - a] = ds[..., a:b]
         gpos = gpos[..., :span]
-        gqu = np.matmul(ds, keys.data)
-        gqv = np.matmul(gpos, positions.data)
+        gqu = np.matmul(ds, kh)
+        gqv = np.matmul(gpos, ph)
         return (
-            gqu + gqv,
-            _unbroadcast(np.matmul(ds.swapaxes(-1, -2), qu), keys.shape),
-            _unbroadcast(np.matmul(p.swapaxes(-1, -2), g), values.shape),
-            _unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qv), positions.shape),
+            merge(gqu + gqv),
+            merge(_unbroadcast(np.matmul(ds.swapaxes(-1, -2), qu), kh.shape)),
+            merge(_unbroadcast(np.matmul(p.swapaxes(-1, -2), g), vh.shape)),
+            merge(_unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qv), ph.shape)),
             _unbroadcast(gqu, u.shape),
             _unbroadcast(gqv, v.shape),
         )
 
-    merged = out.swapaxes(1, 2).reshape(batch, length, -1)
-    return _make(merged, (q, keys, values, positions, u, v), vjp)
+    return _make(merge(out), (q, keys, values, positions, u, v), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

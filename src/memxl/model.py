@@ -12,7 +12,7 @@ layer's projected keys and values instead of the raw rows (``StreamState``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -96,19 +96,16 @@ class LayerParams:
             ln_ffn_b=zeros(cfg.d_model),
         )
 
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = self.attn.named(f"{prefix}.attn")
-        out += [
-            (f"{prefix}.ln_attn_g", self.ln_attn_g),
-            (f"{prefix}.ln_attn_b", self.ln_attn_b),
-            (f"{prefix}.w_ff1", self.w_ff1),
-            (f"{prefix}.b_ff1", self.b_ff1),
-            (f"{prefix}.w_ff2", self.w_ff2),
-            (f"{prefix}.b_ff2", self.b_ff2),
-            (f"{prefix}.ln_ffn_g", self.ln_ffn_g),
-            (f"{prefix}.ln_ffn_b", self.ln_ffn_b),
-        ]
-        return out
+
+def named_fields(params, prefix: str) -> list[tuple[str, Tensor]]:
+    """``(prefix.field, tensor)`` for each field of the dataclass ``params``,
+    in definition order, with fields that hold parameter dataclasses expanded
+    in place."""
+    out = []
+    for f in fields(params):
+        value, name = getattr(params, f.name), f"{prefix}.{f.name}"
+        out += [(name, value)] if isinstance(value, Tensor) else named_fields(value, name)
+    return out
 
 
 def _newest_tags(tags: np.ndarray, step_tags, mem_len: int) -> np.ndarray:
@@ -166,7 +163,7 @@ class MemoryState:
 @dataclass
 class StreamLayer:
     """One layer's memory in a stream: the projected keys and values of its
-    rows, in fixed [B, H, mem_len + block, d_h] buffers.
+    rows, in fixed [B, mem_len + block, H * d_h] buffers.
 
     Rows [0, len(tags)) are memory. ``extend`` writes a block's keys and
     values after them; ``advanced`` then shifts the newest rows to the
@@ -181,10 +178,10 @@ class StreamLayer:
     def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         """Keys and values of the memory rows followed by the block's."""
         rows = len(self.tags)
-        end = rows + keys.shape[2]
-        self.keys[:, :, rows:end] = keys.data
-        self.values[:, :, rows:end] = values.data
-        return Tensor(self.keys[:, :, :end]), Tensor(self.values[:, :, :end])
+        end = rows + keys.shape[1]
+        self.keys[:, rows:end] = keys.data
+        self.values[:, rows:end] = values.data
+        return Tensor(self.keys[:, :end]), Tensor(self.values[:, :end])
 
     def advanced(self, x, step_tags, mem_len: int) -> "StreamLayer":
         """Keep the newest ``mem_len`` of the rows ``extend`` left; ``x`` is
@@ -193,8 +190,8 @@ class StreamLayer:
         self.tags = _newest_tags(self.tags, step_tags, mem_len)
         keep = len(self.tags)
         if keep < end:
-            self.keys[:, :, :keep] = self.keys[:, :, end - keep : end]
-            self.values[:, :, :keep] = self.values[:, :, end - keep : end]
+            self.keys[:, :keep] = self.keys[:, end - keep : end]
+            self.values[:, :keep] = self.values[:, end - keep : end]
         self.staleness = 0
         return self
 
@@ -202,7 +199,7 @@ class StreamLayer:
 @dataclass
 class _Layout:
     """The offsets that one cache-tag layout gives a block, their encoding,
-    and, in a stream, each layer's position keys of that encoding."""
+    and each layer's [1, n, H * d_h] position keys of that encoding."""
 
     offsets: np.ndarray  # [L, K]
     enc: OffsetEncodings
@@ -214,11 +211,11 @@ class StreamState:
     """Memory for streaming evaluation: what stays fixed from block to block
     while the parameters do.
 
-    Each layer holds its projected memory keys and values (``StreamLayer``);
-    ``layouts`` holds the current block's tag layout with its offset
-    encoding and each layer's position keys. It is only valid while the
-    parameters do not change, so ``MemoryLM.forward`` takes it under
-    ``no_grad`` only, and advances it in place.
+    Each layer holds its projected memory keys and values as [B, rows,
+    H * d_h] rows (``StreamLayer``); ``layouts`` holds the current block's
+    tag layout with its offset encoding and each layer's position keys. It is
+    only valid while the parameters do not change, so ``MemoryLM.forward``
+    takes it under ``no_grad`` only, and advances it in place.
     """
 
     layers: list[StreamLayer]
@@ -232,7 +229,7 @@ class StreamState:
 
     @staticmethod
     def fresh(config: "ModelConfig", batch: int, mem_len: int, block_len: int) -> "StreamState":
-        shape = (batch, config.n_heads, mem_len + block_len, config.d_head)
+        shape = (batch, mem_len + block_len, config.n_heads * config.d_head)
         return StreamState(
             layers=[
                 StreamLayer(np.zeros(shape, config.dtype), np.zeros(shape, config.dtype), np.zeros(0, dtype=np.int64))
@@ -282,7 +279,7 @@ class MemoryLM:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("embedding", self.embedding)]
         for i, layer in enumerate(self.layers):
-            out += layer.named(f"layers.{i}")
+            out += named_fields(layer, f"layers.{i}")
         out += [("ln_out_g", self.ln_out_g), ("ln_out_b", self.ln_out_b)]
         return out
 
@@ -394,19 +391,15 @@ class MemoryLM:
                 record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=layout.offsets))
 
             attn_params = lp.attn.crossed(assignments[i] if assignments is not None else None)
+            if i not in layout.positions:
+                layout.positions[i] = position_keys(layout.enc, attn_params.w_kr)
             x_n = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
-            if stream:
-                memory = lm
-                if i not in layout.positions:
-                    layout.positions[i] = position_keys(layout.enc, lp.attn.w_kr)
-                positions = layout.positions[i]
-            else:
-                memory = positions = None
-                if lm.buffer.shape[1] > 0:
-                    rows = Tensor(lm.buffer.astype(cfg.dtype, copy=False))
-                    memory = project_memory(ad.layer_norm(rows, lp.ln_attn_g, lp.ln_attn_b), attn_params)
+            memory = lm if stream else None
+            if not stream and lm.buffer.shape[1] > 0:
+                rows = Tensor(lm.buffer.astype(cfg.dtype, copy=False))
+                memory = project_memory(ad.layer_norm(rows, lp.ln_attn_g, lp.ln_attn_b), attn_params)
             prune_i = prune[i] if prune is not None else None
-            attn = multi_head_forward(x_n, memory, layout.enc, attn_params, prune_i, positions)
+            attn = multi_head_forward(x_n, memory, layout.enc, attn_params, layout.positions[i], prune_i)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 

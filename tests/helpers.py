@@ -14,42 +14,53 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
+def split_heads(rows: np.ndarray, d_head: int) -> np.ndarray:
+    """[B, T, H * d_h] rows as [B, H, T, d_h] heads, one column slice per head."""
+    return np.stack(np.split(rows, rows.shape[-1] // d_head, axis=-1), axis=1)
+
+
+def merge_heads(heads: np.ndarray) -> np.ndarray:
+    """[B, H, T, d_h] heads laid side by side, head by head, as [B, T, H * d_h] rows."""
+    return np.concatenate(list(heads.swapaxes(0, 1)), axis=-1)
+
+
 def gather_attention(q, keys, values, positions, u, v, offsets) -> Tensor:
-    """Reference for ``ad.attention_core``: the same scores, with the position
+    """Reference for ``ad.attention_core``: the same scores on the same
+    [B, T, H * d_h] rows, cut into heads by column slices, with the position
     term gathered through the [L, K] offset matrix by ``np.take_along_axis``
     and scattered back through a one-hot map, and the textbook softmax VJP.
     ``positions`` is in shift order: row n - 1 - o holds offset o. The output
-    is merged head by head into [B, L, H * d_h] rows, as the core's is."""
-    span, d_head = positions.shape[-2:]
+    and the gradients are merged head by head into rows, as the core's are."""
+    d_head = u.shape[-1]
+    qh, kh, vh, ph = (split_heads(x.data, d_head) for x in (q, keys, values, positions))
+    span = ph.shape[-2]
     future = offsets < 0
     index = np.where(future, 0, span - 1 - offsets)
     onehot = (index[..., None] == np.arange(span)) & ~future[..., None]  # [L, K, n]
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
-    qu, qv = q.data + u.data, q.data + v.data
-    grid = np.matmul(qv, positions.data.swapaxes(-1, -2))
-    p = np.matmul(qu, keys.data.swapaxes(-1, -2))
+    qu, qv = qh + u.data, qh + v.data
+    grid = np.matmul(qv, ph.swapaxes(-1, -2))
+    p = np.matmul(qu, kh.swapaxes(-1, -2))
     p += np.take_along_axis(grid, index[None, None], axis=-1)
     p *= scale
     p[..., future] = -np.inf
     p = np.exp(p - p.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
-    out = np.matmul(p, values.data)
-    batch, n_heads, length = out.shape[:3]
+    out = np.matmul(p, vh)
 
     def vjp(g):
-        g = g.reshape(batch, length, n_heads, -1).swapaxes(1, 2)
-        dp = np.matmul(g, values.data.swapaxes(-1, -2))
+        g = split_heads(g, d_head)
+        dp = np.matmul(g, vh.swapaxes(-1, -2))
         ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * scale
         gpos = np.einsum("...lk,lkn->...ln", ds, onehot.astype(ds.dtype))
-        gqu, gqv = np.matmul(ds, keys.data), np.matmul(gpos, positions.data)
+        gqu, gqv = np.matmul(ds, kh), np.matmul(gpos, ph)
         return (
-            gqu + gqv,
-            _unbroadcast(np.matmul(ds.swapaxes(-1, -2), qu), keys.shape),
-            _unbroadcast(np.matmul(p.swapaxes(-1, -2), g), values.shape),
-            _unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qv), positions.shape),
+            merge_heads(gqu + gqv),
+            merge_heads(np.matmul(ds.swapaxes(-1, -2), qu)),
+            merge_heads(np.matmul(p.swapaxes(-1, -2), g)),
+            merge_heads(_unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qv), ph.shape)),
             _unbroadcast(gqu, u.shape),
             _unbroadcast(gqv, v.shape),
         )
 
-    merged = out.swapaxes(1, 2).reshape(batch, length, -1)
-    return _make(merged, (q, keys, values, positions, u, v), vjp)
+    return _make(merge_heads(out), (q, keys, values, positions, u, v), vjp)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+import memxl.analysis as analysis
 from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule
 from memxl.analysis import (
     check_config,
@@ -69,6 +70,15 @@ class TestPruneExperiment:
         np.testing.assert_allclose(report.stddev_change, want, rtol=1e-12)
         with pytest.raises(ValueError, match="reference stddev"):
             run_prune_experiment(model, ids[:300], 32, 16, reference_stddev=np.ones(3))
+
+    @pytest.mark.parametrize("reference", [np.ones(3), np.array([0.5, 0.0])], ids=["wrong_length", "zero"])
+    def test_bad_reference_rejected_before_any_evaluation(self, monkeypatch, reference):
+        calls = []
+        monkeypatch.setattr(analysis, "evaluate", lambda *args, **kwargs: calls.append(args) or evaluate(*args, **kwargs))
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        with pytest.raises(ValueError, match="reference (stddev|value)"):
+            run_prune_experiment(model, np.arange(50) % 11, 8, 4, reference_stddev=reference)
+        assert calls == []
 
     def test_single_head_model_rejected(self):
         hub = RngHub(0)

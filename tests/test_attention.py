@@ -6,7 +6,7 @@ from memxl import attention
 from memxl.attention import HeadAssignment, LayerAttentionParams, sample_head_assignment
 from memxl.relpos import encode_offsets, relative_offsets
 
-from helpers import sum_
+from helpers import split_heads, sum_
 
 
 def pe_vec(r: int, d: int) -> np.ndarray:
@@ -59,7 +59,8 @@ def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None, 
     mem_t = None
     if memory is not None and len(memory):
         mem_t = attention.project_memory(ad.Tensor(memory.reshape(-1, *memory.shape[-2:])), params)
-    out = attention.multi_head_forward(x_t, mem_t, enc, params, prune)
+    positions = attention.position_keys(enc, params.w_kr)
+    out = attention.multi_head_forward(x_t, mem_t, enc, params, positions, prune)
     out.data = out.data.reshape(x_block.shape)  # the output projection's VJP reads its gradient flat
     return out
 
@@ -181,13 +182,15 @@ class TestPruning:
 
 
 def core_probs(x, keys, enc, params):
-    """Attention probabilities, [B, H, L, K], of [B, L, d] rows over [B, H, K, d_h]
-    projected keys: the fused core's merged output for identity values, split by head."""
-    batch, n_heads, n_keys = keys.shape[:3]
-    eye = ad.Tensor(np.broadcast_to(np.eye(n_keys), (batch, n_heads, n_keys, n_keys)))
-    q = ad.project_heads(x, params.w_q)
+    """Attention probabilities, [B, H, L, K], of [B, L, d] rows over
+    [B, K, H * d_h] projected keys: the fused core's merged output for identity
+    values, cut into heads by column slices."""
+    batch, n_keys = keys.shape[:2]
+    n_heads = params.n_heads
+    eye = ad.Tensor(np.tile(np.eye(n_keys), (batch, 1, n_heads)))  # each head's values are the identity
+    q = ad.linear(x, params.w_q)
     merged = ad.attention_core(q, keys, eye, attention.position_keys(enc, params.w_kr), params.u, params.v, enc)
-    return merged.data.reshape(batch, x.shape[1], n_heads, n_keys).swapaxes(1, 2)
+    return split_heads(merged.data, n_keys)
 
 
 class TestScores:
@@ -197,7 +200,7 @@ class TestScores:
         q_tags = np.arange(4)
         offsets = relative_offsets(q_tags, q_tags)
         enc = encode_offsets(offsets, 6)
-        keys = ad.project_heads(x, params.w_ke)
+        keys = ad.linear(x, params.w_ke)
         probs = core_probs(x, keys, enc, params)[0]
         for i in range(4):
             for j in range(4):
@@ -215,7 +218,7 @@ class TestScores:
         keys = rng.standard_normal((1, 4, d_model))
         enc = encode_offsets(relative_offsets([3], np.arange(4)), d_model)
 
-        keys = ad.project_heads(ad.Tensor(keys), params.w_ke)
+        keys = ad.linear(ad.Tensor(keys), params.w_ke)
         base = core_probs(ad.Tensor(queries), keys, enc, params)
 
         scaled_params = LayerAttentionParams(
@@ -230,12 +233,12 @@ class TestScores:
         x = ad.Tensor(rng.standard_normal((1, 4, 6)))
         enc = encode_offsets(relative_offsets(np.arange(4), np.arange(3)), 6)
         with pytest.raises(ValueError, match="do not match 4 queries by 4 keys"):
-            core_probs(x, ad.project_heads(x, params.w_ke), enc, params)
+            core_probs(x, ad.linear(x, params.w_ke), enc, params)
 
     def test_fully_masked_row_rejected(self):
         # query 1 scores -inf against both keys; query 0 is finite
-        q = ad.Tensor(np.array([[0.5, 0.5], [-np.inf, 0.0]])[None, None])
-        keys = ad.Tensor(np.array([[1.0, 0.0], [1.0, 0.0]])[None, None])
+        q = ad.Tensor(np.array([[0.5, 0.5], [-np.inf, 0.0]])[None])  # one head of width 2
+        keys = ad.Tensor(np.array([[1.0, 0.0], [1.0, 0.0]])[None])
         zero = ad.Tensor(np.zeros(2))
         enc = encode_offsets(relative_offsets(np.arange(2), np.arange(2)), 4)
         with pytest.raises(RuntimeError, match="no attendable key"):
@@ -245,8 +248,8 @@ class TestScores:
         params = make_params(rng)
         x = ad.Tensor(rng.standard_normal((1, 4, 6)) * 200.0 + 1e4)
         enc = encode_offsets(relative_offsets(np.arange(4), np.arange(4)), 6)
-        probs = core_probs(x, ad.project_heads(x, params.w_ke), enc, params)
-        assert np.abs(ad.project_heads(x, params.w_q).data).max() > 1e3
+        probs = core_probs(x, ad.linear(x, params.w_ke), enc, params)
+        assert np.abs(ad.linear(x, params.w_q).data).max() > 1e3
         assert np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(axis=-1), np.ones((1, 3, 4)), rtol=1e-12)
 

@@ -143,46 +143,40 @@ class TestLinear:
         np.testing.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(b.grad, g_np.reshape(-1, 5).sum(axis=0), rtol=1e-12, atol=1e-14)
 
+    def test_per_head_weight_matches_per_head_formula_and_central_differences(self, rng):
+        """An [H, d_h, d] weight gives each head's [..., T, d_h] projection,
+        laid side by side head by head in [..., T, H * d_h] rows."""
+        x_np = rng.standard_normal((2, 3, 5))
+        w_np = rng.standard_normal((4, 2, 5))
+        g_np = rng.standard_normal((2, 3, 8))
+        x = ad.Tensor(x_np, requires_grad=True)
+        w = ad.Tensor(w_np, requires_grad=True)
+        out = ad.linear(x, w)
+        assert out._parents == (x, w)
+        per_head = np.matmul(x_np[:, None], w_np.transpose(0, 2, 1))  # [B, 1, T, d] @ [H, d, d_h]
+        np.testing.assert_allclose(out.data, np.concatenate(list(per_head.swapaxes(0, 1)), axis=-1), rtol=1e-13)
+        assert out.data.tobytes() == (x_np @ w_np.reshape(8, 5).T).tobytes()
+        ad.backward(sum_(ad.mul(out, ad.Tensor(g_np))))
+
+        def loss_fn(x, w):
+            heads = np.matmul(x[:, None], w.transpose(0, 2, 1))
+            return float(np.sum(np.concatenate(list(heads.swapaxes(0, 1)), axis=-1) * g_np))
+
+        assert w.grad.shape == w.shape
+        assert w.grad.flags.c_contiguous  # clipping sums each gradient in its memory order
+        np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, w_np], 0), atol=1e-7)
+        np.testing.assert_allclose(w.grad, numeric_grad(loss_fn, [x_np, w_np], 1), atol=1e-7)
+
     def test_rejects_mismatched_width_or_bias(self):
         x, w = ad.Tensor(np.zeros((2, 3, 5))), ad.Tensor(np.zeros((4, 5)))
         with pytest.raises(ValueError, match="linear"):
             ad.linear(x, ad.Tensor(np.zeros((4, 3))))
         with pytest.raises(ValueError, match="linear"):
             ad.linear(x, w, ad.Tensor(np.zeros(5)))
-
-
-class TestProjectHeads:
-    """One node: [..., T, d] rows through [H, d_h, d] weights by a single GEMM."""
-
-    def test_matches_per_head_formula_and_central_differences(self, rng):
-        x_np = rng.standard_normal((2, 3, 5))
-        w_np = rng.standard_normal((4, 2, 5))
-        g_np = rng.standard_normal((2, 4, 3, 2))
-        x = ad.Tensor(x_np, requires_grad=True)
-        w = ad.Tensor(w_np, requires_grad=True)
-        out = ad.project_heads(x, w)
-        assert out._parents == (x, w)
-        want = np.matmul(x_np[:, None], w_np.transpose(0, 2, 1))  # [B, 1, T, d] @ [H, d, d_h]
-        np.testing.assert_allclose(out.data, want, rtol=1e-13)
-        ad.backward(sum_(ad.mul(out, ad.Tensor(g_np))))
-
-        def loss_fn(x, w):
-            return float(np.sum(np.matmul(x[:, None], w.transpose(0, 2, 1)) * g_np))
-
-        np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, w_np], 0), atol=1e-7)
-        np.testing.assert_allclose(w.grad, numeric_grad(loss_fn, [x_np, w_np], 1), atol=1e-7)
-
-    def test_float32_stays_float32(self, rng):
-        x = ad.Tensor(rng.standard_normal((1, 3, 4)).astype(np.float32), requires_grad=True)
-        w = ad.Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
-        out = ad.project_heads(x, w)
-        assert out.dtype == np.float32
-        ad.backward(sum_(out))
-        assert x.grad.dtype == w.grad.dtype == np.float32
-
-    def test_rejects_mismatched_width(self):
-        with pytest.raises(ValueError, match="project_heads"):
-            ad.project_heads(ad.Tensor(np.zeros((1, 3, 4))), ad.Tensor(np.zeros((2, 3, 5))))
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear(x, ad.Tensor(np.zeros((2, 3, 4))))
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear(x, ad.Tensor(np.zeros((2, 3, 5))), ad.Tensor(np.zeros(3)))
 
 
 class TestShapeOps:
@@ -312,26 +306,21 @@ LAYOUTS = {
 
 def core_inputs(rng, dtype, layout, batch=2, n_heads=3, d_head=4):
     """Random inputs of the attention core for one of ``LAYOUTS``: [q, keys,
-    values, position keys, u, v], all requiring grad, the encoding of their
-    offsets and the offset matrix."""
+    values, position keys] as [B, T, H * d_h] rows, then u and v, all
+    requiring grad, the encoding of their offsets and the offset matrix."""
     mem_tags, q_tags = LAYOUTS[layout]
     offsets = relpos.relative_offsets(q_tags, np.concatenate([mem_tags, q_tags]))
     enc = relpos.encode_offsets(offsets, 8)
     length, n_keys = offsets.shape
+    width = n_heads * d_head
 
     def t(*shape):
         return ad.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
 
     return [
-        t(batch, n_heads, length, d_head), t(batch, n_heads, n_keys, d_head), t(batch, n_heads, n_keys, d_head),
-        t(1, n_heads, enc.offsets.size, d_head), t(d_head), t(d_head),
+        t(batch, length, width), t(batch, n_keys, width), t(batch, n_keys, width),
+        t(1, enc.offsets.size, width), t(d_head), t(d_head),
     ], enc, offsets
-
-
-def merged_shape(q):
-    """[B, L, H * d_h], the core's output shape for [B, H, L, d_h] queries ``q``."""
-    batch, n_heads, length, d_head = q.shape
-    return batch, length, n_heads * d_head
 
 
 def core_run(op, inputs, layout, weights):
@@ -344,8 +333,8 @@ def core_run(op, inputs, layout, weights):
 
 
 def fused_calls(dtype, rng):
-    """Each fused op on [B, T, d] inputs (the attention core on [B, H, T, d_h]),
-    as (name, output, inputs)."""
+    """Each fused op on [B, T, d] inputs, as (name, output, inputs); linear
+    once with an [n_out, d] and once with an [H, d_h, d] weight."""
     x = ad.Tensor(rng.standard_normal((2, 3, 5)).astype(dtype), requires_grad=True)
     g = ad.Tensor(rng.uniform(0.5, 1.5, 5).astype(dtype), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(5).astype(dtype), requires_grad=True)
@@ -353,11 +342,13 @@ def fused_calls(dtype, rng):
     core, enc, _ = core_inputs(rng, dtype, "filling")
     w = ad.Tensor(rng.standard_normal((4, 5)).astype(dtype), requires_grad=True)
     bias = ad.Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True)
+    w_heads = ad.Tensor(rng.standard_normal((2, 3, 5)).astype(dtype), requires_grad=True)
     return [
         ("layer_norm", ad.layer_norm(x, g, b), (x, g, b)),
         ("cross_entropy", ad.cross_entropy(logits, np.array([[0, 4, 2], [1, 1, 3]])), (logits,)),
         ("attention_core", ad.attention_core(*core, enc), tuple(core)),
         ("linear", ad.linear(x, w, bias), (x, w, bias)),
+        ("linear_per_head", ad.linear(x, w_heads), (x, w_heads)),
     ]
 
 
@@ -417,7 +408,7 @@ class TestAttentionCore:
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_shift_and_gather_paths_agree(self, rng, layout):
         inputs, enc, offsets = core_inputs(rng, np.float64, layout)
-        weights = rng.standard_normal(merged_shape(inputs[0]))
+        weights = rng.standard_normal(inputs[0].shape)
         shift_out, shift_grads = core_run(ad.attention_core, inputs, enc, weights)
         gather_out, gather_grads = core_run(gather_attention, inputs, offsets, weights)
         assert shift_out.tobytes() == gather_out.tobytes()
@@ -432,7 +423,7 @@ class TestAttentionCore:
         layout = {"shift": "filling", "gather": "gapped"}.get(case, case)
         inputs, enc, offsets = core_inputs(rng, np.float64, layout, n_heads=2, d_head=3)
         op, arg = (gather_attention, offsets) if case == "gather" else (ad.attention_core, enc)
-        weights = rng.standard_normal(merged_shape(inputs[0]))
+        weights = rng.standard_normal(inputs[0].shape)
         _, grads = core_run(op, inputs, arg, weights)
 
         def loss_fn(*arrays):
@@ -445,7 +436,7 @@ class TestAttentionCore:
     @pytest.mark.parametrize("layout", ["filling", "gapped"])
     def test_float32_in_float32_out(self, rng, layout):
         inputs, enc, _ = core_inputs(rng, np.float32, layout)
-        weights = rng.standard_normal(merged_shape(inputs[0])).astype(np.float32)
+        weights = rng.standard_normal(inputs[0].shape).astype(np.float32)
         out, grads = core_run(ad.attention_core, inputs, enc, weights)
         assert out.dtype == np.float32
         assert [g.dtype for g in grads] == [np.float32] * 6
@@ -459,12 +450,12 @@ class TestAttentionCore:
         # the block's last key is in the future of every query but the last
         for layout in ("filling", "stale1"):
             inputs, enc, _ = core_inputs(rng, np.float64, layout)
-            weights = rng.standard_normal(merged_shape(inputs[0]))
+            weights = rng.standard_normal(inputs[0].shape)
             weights[:, -1] = 0.0
             out, grads = core_run(ad.attention_core, inputs, enc, weights)
-            assert np.all(grads[1][:, :, -1] == 0.0) and np.all(grads[2][:, :, -1] == 0.0)
+            assert np.all(grads[1][:, -1] == 0.0) and np.all(grads[2][:, -1] == 0.0)
             for x in inputs[1:3]:
-                x.data[:, :, -1] = 1e6
+                x.data[:, -1] = 1e6
             moved, _ = core_run(ad.attention_core, inputs, enc, weights)
             np.testing.assert_array_equal(moved[:, :-1], out[:, :-1])
             assert not np.array_equal(moved[:, -1], out[:, -1])
