@@ -179,6 +179,23 @@ class TestLinear:
             ad.linear(x, ad.Tensor(np.zeros((2, 3, 5))), ad.Tensor(np.zeros(3)))
 
 
+class TestProjectHeads:
+    """The per-head projection: linear with an [H, d_h, d] weight."""
+
+    def test_float32_stays_float32(self, rng):
+        x = ad.Tensor(rng.standard_normal((1, 3, 4)).astype(np.float32), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
+        out = ad.linear(x, w)
+        assert out.dtype == np.float32
+        assert out.shape == (1, 3, 6)
+        ad.backward(sum_(out))
+        assert x.grad.dtype == w.grad.dtype == np.float32
+
+    def test_rejects_mismatched_width(self):
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear(ad.Tensor(np.zeros((1, 3, 4))), ad.Tensor(np.zeros((2, 3, 5))))
+
+
 class TestShapeOps:
     def test_concat_roundtrip_and_grad_split(self, rng):
         a_np = rng.standard_normal((2, 3))
