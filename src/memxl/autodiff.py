@@ -7,7 +7,7 @@ accepted for faster training runs.
 
 Contract notes:
   * ``backward`` may run once per recorded graph; the caller zeroes
-    grads between steps.
+    grads between steps. Afterwards only the loss and the leaves hold grads.
   * ``Tensor.detach`` is a stop-gradient boundary: nothing behind it
     ever accumulates grad.
 """
@@ -194,9 +194,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def vjp(g):
         g2d = g.reshape(-1, n_out)
         gx = (g2d @ w2d).reshape(x.shape)
-        # the same values either way; a per-head weight's gradient is made in C
-        # order, since a strided view would change the order clipping sums it in
-        gw = (x2d.T @ g2d).T if w.ndim == 2 else (g2d.T @ x2d).reshape(w.shape)
+        gw = (g2d.T @ x2d).reshape(w.shape)
         return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
 
     return _make(out.reshape(x.shape[:-1] + (n_out,)), (x, w) if b is None else (x, w, b), vjp)
@@ -330,10 +328,10 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
 # -- backward ------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of everything reachable from the scalar ``loss``.
-
-    One invocation per recorded graph; a second call on the same loss
-    is rejected.
+    """Populate grads of the leaves (such as parameters) reachable from the
+    scalar ``loss``. The loss keeps its grad; an intermediate node's grad is
+    dropped once its VJP has run. One invocation per recorded graph; a
+    second call on the same loss is rejected.
     """
     if loss.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -366,6 +364,8 @@ def backward(loss: Tensor) -> None:
             if not parent.requires_grad or pg is None:
                 continue
             parent.grad = pg if parent.grad is None else parent.grad + pg
+        if node is not loss:
+            node.grad = None
     loss._backward_done = True
 
 

@@ -1,14 +1,15 @@
 """Adam with bias correction, cosine learning-rate annealing, and global
-gradient-norm clipping."""
+gradient-norm clipping, as whole-array passes over a flat parameter arena."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor
+
+CHUNK = 1 << 16  # elements per pass of Adam's scratch buffers
 
 
 def cosine_lr(step: int, base_lr: float, max_iters: int) -> float:
@@ -21,57 +22,83 @@ def cosine_lr(step: int, base_lr: float, max_iters: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient buffer ``grad`` in place so its L2 norm is at
+    most ``max_norm``. Returns the pre-clip norm.
 
-    Returns the pre-clip norm."""
+    The squares are summed by numpy's pairwise reduction over the buffer, an
+    order its length alone fixes (BLAS's dot would split by thread count)."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total_sq = 0.0
-    for p in params:
-        if p.grad is not None:
-            total_sq += float(np.sum(p.grad * p.grad))
-    total = math.sqrt(total_sq)
+    total = math.sqrt(float(np.sum(np.square(grad))))
     if total > max_norm:
-        scale = max_norm / total
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
+        grad *= max_norm / total
     return total
 
 
-@dataclass
 class AdamState:
-    """First/second moment estimates keyed by parameter name."""
+    """Adam's step count and moments over a flat parameter arena.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
+    Building one copies every parameter, in order, into the contiguous
+    ``params`` and rebinds each parameter's ``data`` to its C-contiguous view
+    there. The moments ``m`` and ``v`` and the gradient buffer ``grad`` are
+    flat arrays of the same layout; ``table`` lists ``(name, tensor, view)``
+    and ``grads`` each parameter's view of ``grad``.
+    """
 
-    @staticmethod
-    def init(named_params: list[tuple[str, Tensor]]) -> "AdamState":
-        return AdamState(
-            m={name: np.zeros(p.shape, dtype=p.dtype) for name, p in named_params},
-            v={name: np.zeros(p.shape, dtype=p.dtype) for name, p in named_params},
-        )
+    def __init__(self, named_params: list[tuple[str, Tensor]]):
+        dtypes = {p.dtype for _, p in named_params}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
+        self.shapes = [p.shape for _, p in named_params]
+        size, dtype = sum(p.size for _, p in named_params), dtypes.pop() if dtypes else np.float64
+        self.params, self.m, self.v, self.grad = (np.zeros(size, dtype) for _ in range(4))
+        self.t = 0
+        self.table = []
+        for (name, p), view in zip(named_params, self.views(self.params)):
+            view[...] = p.data
+            p.data = view
+            self.table.append((name, p, view))
+        self.grads = self.views(self.grad)
+        self.scratch = np.empty((2, min(CHUNK, self.params.size)), self.params.dtype)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's view of a flat array laid out like the arena."""
+        out, end = [], 0
+        for shape in self.shapes:
+            start, end = end, end + math.prod(shape)
+            out.append(flat[start:end].reshape(shape))
+        return out
+
+    def gather_grads(self) -> np.ndarray:
+        """Copy every parameter's grad into ``grad``, a missing one as 0, and
+        return it. A parameter whose ``data`` is no longer its arena view
+        would train a detached copy, so it is refused."""
+        for (name, p, view), g in zip(self.table, self.grads):
+            if p.data is not view:
+                raise RuntimeError(f"parameter {name!r} was rebound away from the optimizer's arena")
+            g[...] = 0 if p.grad is None else p.grad
+        return self.grad
 
 
-def adam_update(
-    named_params: list[tuple[str, Tensor]],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam step, in place. Missing grads count as zero."""
+def adam_update(state: AdamState, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam step of the arena from the gradient buffer, in
+    place, chunk by chunk through the scratch buffers. The arithmetic, in
+    this order, is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, p in named_params:
-        if name not in state.m:
-            raise KeyError(f"optimizer state has no entry for parameter {name!r}")
-        g = p.grad if p.grad is not None else np.zeros(p.shape, dtype=p.dtype)
-        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for lo in range(0, state.params.size, CHUNK):
+        part = slice(lo, lo + CHUNK)
+        p, g, m, v = state.params[part], state.grad[part], state.m[part], state.v[part]
+        a, b = state.scratch[:, : p.size]
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=a)
+        v *= beta2
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1.0 - beta2, out=a)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += eps
+        np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+        p -= np.divide(b, a, out=b)

@@ -171,7 +171,7 @@ class Trainer:
         self.eval_ids = None if eval_ids is None else np.asarray(eval_ids)
         self.hub = hub
         self.vocab = vocab
-        self.adam = AdamState.init(model.named_parameters())
+        self.adam = AdamState(model.named_parameters())
         self.mems = model.init_memory(batch=batches.batch)
         self.controller = PhaseController(cfg.window, cfg.threshold)
         self.step = 0
@@ -218,12 +218,12 @@ class Trainer:
                 note = f"; diagnostic checkpoint at {diag}"
             raise RuntimeError(f"non-finite training loss ({nll}) at step {self.step}{note}")
 
-        model.zero_grad()
+        for _, p, _ in self.adam.table:
+            p.grad = None
         ad.backward(loss)
-        named = model.named_parameters()
-        clip_global_norm([p for _, p in named], cfg.clip_norm)
+        clip_global_norm(self.adam.gather_grads(), cfg.clip_norm)
         lr = cosine_lr(self.step, cfg.base_lr, cfg.max_iters)
-        adam_update(named, self.adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        adam_update(self.adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
         self.mems = new_mems
         self.step += 1
@@ -271,10 +271,11 @@ class Trainer:
             "vocab": self.vocab.to_dict() if self.vocab is not None else None,
         }
         arrays: dict[str, np.ndarray] = {}
-        for name, p in model.named_parameters():
+        adam = self.adam
+        for (name, p, _), m, v in zip(adam.table, adam.views(adam.m), adam.views(adam.v)):
             arrays[f"param.{name}"] = p.data
-            arrays[f"adam_m.{name}"] = self.adam.m[name]
-            arrays[f"adam_v.{name}"] = self.adam.v[name]
+            arrays[f"adam_m.{name}"] = m
+            arrays[f"adam_v.{name}"] = v
         for i, lm in enumerate(self.mems.layers):
             arrays[f"mem.{i}.buffer"] = lm.buffer
             arrays[f"mem.{i}.tags"] = lm.tags
@@ -312,10 +313,11 @@ class Trainer:
             checkpoint_every=checkpoint_every,
         )
         _restore_parameters(model, arrays)
-        for name, _ in model.named_parameters():
-            trainer.adam.m[name] = arrays[f"adam_m.{name}"]
-            trainer.adam.v[name] = arrays[f"adam_v.{name}"]
-        trainer.adam.t = int(meta["adam_t"])
+        adam = trainer.adam
+        for (name, _, _), m, v in zip(adam.table, adam.views(adam.m), adam.views(adam.v)):
+            m[...] = arrays[f"adam_m.{name}"]
+            v[...] = arrays[f"adam_v.{name}"]
+        adam.t = int(meta["adam_t"])
         trainer.mems = MemoryState(
             layers=[
                 LayerMemory(
@@ -334,12 +336,12 @@ class Trainer:
 
 
 def _restore_parameters(model: MemoryLM, arrays: dict[str, np.ndarray]) -> None:
-    """Set each parameter to the checkpoint's ``param.{name}`` array of the same shape."""
+    """Copy the checkpoint's ``param.{name}`` arrays into the parameters of the same shape."""
     for name, p in model.named_parameters():
         stored = arrays[f"param.{name}"]
         if stored.shape != p.shape:
             raise ValueError(f"checkpoint parameter {name} has shape {stored.shape}, expected {p.shape}")
-        p.data = stored
+        p.data[...] = stored
 
 
 def save_model(path, model: MemoryLM, vocab: Vocabulary | None = None) -> None:

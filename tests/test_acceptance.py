@@ -64,7 +64,7 @@ def test_02_disabled_mechanisms_change_nothing_bitwise():
     mems = model.init_memory(1)
     from memxl.optim import AdamState
 
-    adam = AdamState.init(model.named_parameters())
+    adam = AdamState(model.named_parameters())
     losses = []
     for step in range(cfg.steps):
         inputs, targets = batches.step(step)
@@ -73,9 +73,8 @@ def test_02_disabled_mechanisms_change_nothing_bitwise():
         losses.append(float(loss.data))
         model.zero_grad()
         ad.backward(loss)
-        named = model.named_parameters()
-        clip_global_norm([p for _, p in named], cfg.clip_norm)
-        adam_update(named, adam, cosine_lr(step, cfg.base_lr, cfg.max_iters),
+        clip_global_norm(adam.gather_grads(), cfg.clip_norm)
+        adam_update(adam, cosine_lr(step, cfg.base_lr, cfg.max_iters),
                     cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
     assert [r.train_nll for r in trainer.log] == losses

@@ -121,6 +121,7 @@ class TestLinear:
         def loss_fn(x, w, b):
             return float(np.sum((x @ w.T + b) * g_np))
 
+        assert params[1].grad.flags.c_contiguous  # a plain copy into the optimizer's gradient buffer
         for i, p in enumerate(params):
             assert p.grad.shape == p.shape
             np.testing.assert_allclose(p.grad, numeric_grad(loss_fn, [x_np, w_np, b_np], i), atol=1e-7)
@@ -139,6 +140,7 @@ class TestLinear:
         ad.backward(sum_(ad.mul(out, ad.Tensor(g_np))))
 
         gw = np.matmul(np.swapaxes(g_np, -1, -2), x_np).reshape(-1, 5, 4).sum(axis=0)
+        assert w.grad.flags.c_contiguous
         np.testing.assert_allclose(x.grad, np.matmul(g_np, w_np), rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(b.grad, g_np.reshape(-1, 5).sum(axis=0), rtol=1e-12, atol=1e-14)
@@ -163,7 +165,7 @@ class TestLinear:
             return float(np.sum(np.concatenate(list(heads.swapaxes(0, 1)), axis=-1) * g_np))
 
         assert w.grad.shape == w.shape
-        assert w.grad.flags.c_contiguous  # clipping sums each gradient in its memory order
+        assert w.grad.flags.c_contiguous  # a plain copy into the optimizer's gradient buffer
         np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, w_np], 0), atol=1e-7)
         np.testing.assert_allclose(w.grad, numeric_grad(loss_fn, [x_np, w_np], 1), atol=1e-7)
 
@@ -541,6 +543,25 @@ class TestGraphMechanics:
             ad.backward(ad.mul(x, x))
         with pytest.raises(RuntimeError):
             ad.backward(sum_(ad.Tensor(np.ones(3))))
+
+    def test_only_the_loss_and_leaves_keep_grads(self, rng):
+        """Intermediate grads are dropped once propagated; the leaves' grads
+        still match central differences."""
+        x_np, w_np, b_np = rng.standard_normal((3, 4)), rng.standard_normal((5, 4)), rng.standard_normal(5)
+        x, w, b = (ad.Tensor(a, requires_grad=True) for a in (x_np, w_np, b_np))
+        hidden = ad.linear(x, w, b)
+        squared = ad.mul(hidden, hidden)
+        loss = sum_(ad.relu(squared))
+        ad.backward(loss)
+        assert hidden.grad is None and squared.grad is None
+        assert loss.grad == 1.0
+        assert hidden._parents == (x, w, b)  # the graph itself stays walkable
+
+        def loss_fn(x, w, b):
+            return float(np.sum((x @ w.T + b) ** 2))
+
+        for i, p in enumerate((x, w, b)):
+            np.testing.assert_allclose(p.grad, numeric_grad(loss_fn, [x_np, w_np, b_np], i), atol=1e-6)
 
     def test_grad_accumulates_across_uses(self):
         x = ad.Tensor(np.array([2.0]), requires_grad=True)

@@ -253,6 +253,23 @@ class TestTrainerLoop:
         for (_, pa), (_, pb) in zip(a.model.named_parameters(), b.model.named_parameters()):
             assert pa.data.tobytes() == pb.data.tobytes()
 
+    def test_step_uses_the_optimizers_parameter_table(self, monkeypatch):
+        trainer = quick_trainer(steps=4, eval_interval=2)
+        calls = []
+        original = MemoryLM.named_parameters
+        monkeypatch.setattr(MemoryLM, "named_parameters", lambda self: calls.append(1) or original(self))
+        trainer.run()
+        assert trainer.step == 4 and trainer.log[1].eval_ppl is not None
+        assert calls == []
+
+    def test_parameter_rebound_away_from_the_arena_is_refused(self):
+        trainer = quick_trainer(steps=4)
+        trainer.run(until=1)
+        p = trainer.model.layers[0].w_ff1
+        p.data = p.data.copy()
+        with pytest.raises(RuntimeError, match=re.escape("'layers.0.w_ff1'")):
+            trainer.train_step()
+
     def test_loss_decreases_on_repetitive_data(self):
         ids = np.tile(np.arange(8), 40)
         trainer = quick_trainer(steps=40, ids=ids, base_lr=5e-3)
@@ -336,6 +353,21 @@ class TestPersistence:
         assert tail_a == tail_b
         for (_, pa), (_, pb) in zip(straight.model.named_parameters(), resumed.model.named_parameters()):
             assert pa.data.tobytes() == pb.data.tobytes()
+
+    def test_loaded_parameters_and_moments_live_in_the_arena(self, tmp_path):
+        trainer = quick_trainer(steps=3)
+        trainer.run()
+        path = tmp_path / "t.ckpt"
+        trainer.save(path)
+        resumed = Trainer.load(path, trainer.batches)
+        adam = resumed.adam
+        assert [name for name, _, _ in adam.table] == [name for name, _ in resumed.model.named_parameters()]
+        for (_, p, view), (_, q) in zip(adam.table, trainer.model.named_parameters()):
+            assert p.data is view and np.shares_memory(p.data, adam.params)
+            assert p.data.tobytes() == q.data.tobytes()
+        assert adam.t == trainer.adam.t == 3
+        for got, want in ((adam.m, trainer.adam.m), (adam.v, trainer.adam.v)):
+            assert got.tobytes() == want.tobytes()
 
     def test_checkpoint_every_writes_file(self, tmp_path):
         path = tmp_path / "auto.ckpt"
