@@ -86,9 +86,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         """Stop-gradient boundary: same values, no history, never accumulates grad."""
         return Tensor(self.data, requires_grad=False)
@@ -180,19 +177,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """[..., n_in] rows through a weight whose last axis is n_in and whose
     leading axes, flattened, are the n_out outputs ([n_out, n_in], or
     [H, d_h, n_in] per-head weights giving H * d_h outputs, head by head),
-    plus an optional [n_out] bias, as one [N, n_in] @ [n_in, n_out] GEMM."""
+    plus an optional [n_out] bias, as one [N, n_in] @ [n_in, n_out] GEMM; a
+    [B, S, L, n_in] stack runs one GEMM per segment, which rounds as that
+    segment alone would (BLAS rounding may depend on the row count)."""
     n_in = w.shape[-1]
     w2d = w.data.reshape(-1, n_in)
     n_out = w2d.shape[0]
     if x.shape[-1] != n_in or (b is not None and b.shape != (n_out,)):
         raise ValueError(f"linear shape mismatch: rows {x.shape}, weight {w.shape}, bias {None if b is None else b.shape}")
-    x2d = x.data.reshape(-1, n_in)
-    out = x2d @ w2d.T
+    rows = x.data
+    out = np.matmul(rows.reshape(-1, n_in) if rows.ndim < 4 else rows.reshape(-1, *rows.shape[-2:]), w2d.T)
     if b is not None:
         out += b.data
 
     def vjp(g):
-        g2d = g.reshape(-1, n_out)
+        g2d, x2d = g.reshape(-1, n_out), rows.reshape(-1, n_in)
         gx = (g2d @ w2d).reshape(x.shape)
         gw = (g2d.T @ x2d).reshape(w.shape)
         return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
@@ -211,10 +210,10 @@ def _relative_shift(grid: np.ndarray, length: int, span: int) -> np.ndarray:
 
 
 def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout) -> Tensor:
-    """Relative-position attention of [B, L, H * d_h] query rows over
-    [B, K, H * d_h] key rows and [B, K, H * d_v] value rows, with d_h the
+    """Relative-position attention of [..., L, H * d_h] query rows over
+    [..., K, H * d_h] key rows and [..., K, H * d_v] value rows, with d_h the
     width of ``u`` and ``v``: each head's softmax(S) @ values, merged head by
-    head into [B, L, H * d_v] rows, with
+    head into [..., L, H * d_v] rows, with
 
         S[i, j] = ((q_i + u) . k_j + (q_i + v) . r_ij) / sqrt(d_h)
 
@@ -224,7 +223,7 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     last L keys are the queries' own, so the future slots are the trailing
     [L, L] upper triangle; they get -inf.
 
-    The rows are split into heads by a [B, H, T, d_h] view, and the head
+    The rows are split into heads by a [..., H, T, d_h] view, and the head
     outputs merged back by a copy of the swapped view; the VJP undoes both,
     so every gradient comes back in rows. The relative shift of
     (q + v) @ positions^T scores every query against the n positions of the
@@ -236,10 +235,10 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     n_heads = q.shape[-1] // d_head
 
     def heads(rows):
-        return rows.reshape(rows.shape[:2] + (n_heads, -1)).swapaxes(1, 2)
+        return rows.reshape(rows.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
 
     def merge(split):
-        return split.swapaxes(1, 2).reshape(split.shape[0], split.shape[2], -1)
+        return split.swapaxes(-2, -3).reshape(split.shape[:-3] + (split.shape[-2], -1))
 
     qh, kh, vh, ph = (heads(x.data) for x in (q, keys, values, positions))
     length, n_keys, span = qh.shape[-2], kh.shape[-2], ph.shape[-2]

@@ -7,6 +7,7 @@ writes a tab-delimited file with a one-line header.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -184,7 +185,9 @@ def cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; each ``parse_args`` starts from fresh defaults."""
     parser = argparse.ArgumentParser(prog="memxl", description="memory-recurrent language model tools")
     sub = parser.add_subparsers(dest="command", required=True)
 

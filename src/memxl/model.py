@@ -163,11 +163,11 @@ class MemoryState:
 @dataclass
 class StreamLayer:
     """One layer's memory in a stream: the projected keys and values of its
-    rows, in fixed [B, mem_len + block, H * d_h] buffers.
+    newest rows, [B, rows, H * d_h] each, rows <= mem_len.
 
-    Rows [0, len(tags)) are memory. ``extend`` writes a block's keys and
-    values after them; ``advanced`` then shifts the newest rows to the
-    front. Both work in place.
+    ``extend`` appends a call's keys and values to them and hands each block
+    of the call its window; ``advanced`` then keeps views of the newest
+    ``mem_len`` rows. Nothing is written in place.
     """
 
     keys: np.ndarray
@@ -176,23 +176,27 @@ class StreamLayer:
     staleness: int = 0
 
     def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values of the memory rows followed by the block's."""
-        rows = len(self.tags)
-        end = rows + keys.shape[1]
-        self.keys[:, rows:end] = keys.data
-        self.values[:, rows:end] = values.data
-        return Tensor(self.keys[:, :end]), Tensor(self.values[:, :end])
+        """Keys and values of each of the call's [B, S, L, H * d_h] blocks
+        after the memory rows before it, as [B, S, rows + L, H * d_h]
+        windows. For S > 1 the memory must be full, so that every block's
+        memory is the ``rows`` rows just before it."""
+        batch, segments, length, width = keys.shape
+        shape = (batch, segments, len(self.tags) + length, width)
+
+        def windows(rows):  # window s starts at row s * length: overlapping views, no copy
+            b, r, c = rows.strides
+            return Tensor(np.ndarray(shape, rows.dtype, rows, 0, (b, length * r, r, c)))
+
+        self.keys = np.concatenate([self.keys, keys.data.reshape(batch, -1, width)], axis=1)
+        self.values = np.concatenate([self.values, values.data.reshape(batch, -1, width)], axis=1)
+        return windows(self.keys), windows(self.values)
 
     def advanced(self, x, step_tags, mem_len: int) -> "StreamLayer":
         """Keep the newest ``mem_len`` of the rows ``extend`` left; ``x`` is
-        not read, since the block's keys and values are already written."""
-        end = len(self.tags) + len(step_tags)
+        not read, since the call's keys and values are already projected."""
         self.tags = _newest_tags(self.tags, step_tags, mem_len)
-        keep = len(self.tags)
-        if keep < end:
-            self.keys[:, :keep] = self.keys[:, end - keep : end]
-            self.values[:, :keep] = self.values[:, end - keep : end]
-        self.staleness = 0
+        start = self.keys.shape[1] - len(self.tags)
+        self.keys, self.values, self.staleness = self.keys[:, start:], self.values[:, start:], 0
         return self
 
 
@@ -215,11 +219,14 @@ class StreamState:
     H * d_h] rows (``StreamLayer``); ``layouts`` holds the current block's
     tag layout with its offset encoding and each layer's position keys. It is
     only valid while the parameters do not change, so ``MemoryLM.forward``
-    takes it under ``no_grad`` only, and advances it in place.
+    takes it under ``no_grad`` only, and advances it in place. A call passes
+    one block of at most ``block_len`` tokens, or, once every layer's memory
+    holds the ``mem_len`` rows just before it, several whole blocks.
     """
 
     layers: list[StreamLayer]
     mem_len: int
+    block_len: int
     next_position: int = 0
     layouts: dict[tuple, _Layout] = field(default_factory=dict)
 
@@ -229,13 +236,14 @@ class StreamState:
 
     @staticmethod
     def fresh(config: "ModelConfig", batch: int, mem_len: int, block_len: int) -> "StreamState":
-        shape = (batch, mem_len + block_len, config.n_heads * config.d_head)
+        shape = (batch, 0, config.n_heads * config.d_head)
         return StreamState(
             layers=[
                 StreamLayer(np.zeros(shape, config.dtype), np.zeros(shape, config.dtype), np.zeros(0, dtype=np.int64))
                 for _ in range(config.n_layers)
             ],
             mem_len=mem_len,
+            block_len=block_len,
         )
 
 
@@ -334,7 +342,10 @@ class MemoryLM:
         state. A ``StreamState`` holds projections of the current
         parameters through each layer's own heads, so it is accepted only
         under ``no_grad`` and with no crossed heads; the call advances it
-        in place and returns it.
+        in place and returns it. Under a full stream, ``tokens`` may hold S
+        whole blocks, [B, S * L]: each layer runs over them as one [B, S, L]
+        stack, since a block's memory is the layer below's output over the
+        rows before it, which the call has already computed.
         """
         cfg = self.config
         stream = isinstance(mems, StreamState)
@@ -343,7 +354,7 @@ class MemoryLM:
         tokens = self._check_tokens(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [B, L], got shape {tokens.shape}")
-        batch, length = tokens.shape
+        batch, n_tokens = tokens.shape
 
         if len(mems.layers) != cfg.n_layers:
             raise ValueError(f"memory has {len(mems.layers)} layers, model has {cfg.n_layers}")
@@ -359,10 +370,16 @@ class MemoryLM:
         if stream and assignments is not None and any(a.cross_active for a in assignments):
             raise ValueError("a stream state caches its own heads' keys; it takes no crossed head assignment")
         prune = self._check_prune(prune)
+        length = min(n_tokens, mems.block_len) if stream else n_tokens
+        if n_tokens > length:
+            recent = block_tags(mems.next_position - mems.mem_len, mems.mem_len)
+            if n_tokens % length or skip_mask.any() or any(not np.array_equal(lm.tags, recent) for lm in mems.layers):
+                raise ValueError("a stream takes several blocks per call only as whole blocks over full memory, unskipped")
 
-        h = ad.index_rows(self.embedding, tokens)
+        h = ad.index_rows(self.embedding, tokens.reshape(batch, -1, length) if stream else tokens)
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
-        q_tags = block_tags(mems.next_position, length)
+        tags = block_tags(mems.next_position, n_tokens)
+        q_tags = tags[:length]  # the first block's; every block of a call shares its layout
 
         # One entry per tag layout, keyed on the block length and the cache
         # tags relative to the block; layers whose caches hold the same tags
@@ -372,7 +389,7 @@ class MemoryLM:
         new_layers = []
         for i, (lp, lm) in enumerate(zip(self.layers, mems.layers)):
             if skip_mask[i]:
-                new_layers.append(update_memory(lm, h, True, q_tags, mems.mem_len))
+                new_layers.append(update_memory(lm, h, True, tags, mems.mem_len))
                 if record is not None:
                     record.append(LayerTrace(layer=i, skipped=True, staleness=lm.staleness, offsets=None))
                 continue
@@ -410,15 +427,15 @@ class MemoryLM:
             z = ad.dropout(z, cfg.dropout, dropout_rng, training)
             h = ad.add(h, z)
 
-            new_layers.append(update_memory(lm, layer_input, False, q_tags, mems.mem_len))
+            new_layers.append(update_memory(lm, layer_input, False, tags, mems.mem_len))
 
         final = ad.layer_norm(h, self.ln_out_g, self.ln_out_b)
         logits = self.project(final)
 
         if stream:
-            mems.layers, mems.layouts, mems.next_position = new_layers, layouts, mems.next_position + length
-            return logits, mems
-        return logits, MemoryState(layers=new_layers, mem_len=mems.mem_len, next_position=mems.next_position + length)
+            mems.layers, mems.layouts, mems.next_position = new_layers, layouts, mems.next_position + n_tokens
+            return Tensor(logits.data.reshape(batch, n_tokens, -1)), mems
+        return logits, MemoryState(layers=new_layers, mem_len=mems.mem_len, next_position=mems.next_position + n_tokens)
 
     def _check_prune(self, prune):
         if prune is None:

@@ -88,6 +88,11 @@ class EvalReport:
             raise ValueError(f"perplexity below 1 ({self.ppl}); NLL must be nonnegative")
 
 
+# Entries of the [S, H, eval_block, eval_context] attention scores that one
+# evaluation call may hold; S, the blocks per call, is the most that fit.
+EVAL_SCORES = 2**14
+
+
 def evaluate(
     model: MemoryLM,
     ids: np.ndarray,
@@ -95,13 +100,19 @@ def evaluate(
     eval_block: int,
     prune: np.ndarray | None = None,
 ) -> EvalReport:
-    """Stream a split in ``eval_block`` chunks with recurrent memory sized
+    """Stream a split in ``eval_block`` blocks with recurrent memory sized
     ``eval_context - eval_block`` and average NLL over every scored token.
 
-    The memory is a ``StreamState``: from block to block it carries each
-    layer's projected memory keys and values and the current tag layout's
-    offset encoding and position keys, which cannot change while the
-    parameters are fixed. It lives for this call only.
+    The memory is a ``StreamState``: from call to call it carries each
+    layer's projected keys and values of the newest rows and the current tag
+    layout's offset encoding and position keys, which cannot change while
+    the parameters are fixed. It lives for this call only.
+
+    Once the memory is full, one ``MemoryLM.forward`` call runs a chunk of
+    S whole blocks, the most whose attention scores fit in ``EVAL_SCORES``
+    entries, and at least one. Blocks whose memory is still filling, and a
+    short last block, run one per call. Each block's NLL is taken from its
+    own logits and summed block by block, so the result does not depend on S.
 
     Deterministic: no skipping, no head resampling, no dropout.
     """
@@ -118,14 +129,20 @@ def evaluate(
     if prune is not None and not np.asarray(prune, dtype=bool).any(axis=-1).all():
         raise ValueError("every layer needs at least one unpruned head to report perplexity")
 
-    mems = StreamState.fresh(model.config, 1, eval_context - eval_block, eval_block)
-    total = 0.0
+    mem_len = eval_context - eval_block
+    mems = StreamState.fresh(model.config, 1, mem_len, eval_block)
+    chunk = max(1, EVAL_SCORES // (model.config.n_heads * eval_block * eval_context))
+    total, start = 0.0, 0
     with ad.no_grad():
-        for start in range(0, n_scored, eval_block):
-            stop = min(start + eval_block, n_scored)
+        while start < n_scored:
+            blocks = min(chunk if start >= mem_len else 1, (n_scored - start) // eval_block)
+            stop = start + blocks * eval_block if blocks else n_scored
             logits, mems = model.forward(ids[start:stop][None, :], mems, prune=prune)
-            loss = ad.cross_entropy(logits, ids[start + 1 : stop + 1][None, :])
-            total += float(loss.data) * (stop - start)
+            for a in range(start, stop, eval_block):
+                b = min(a + eval_block, stop)
+                loss = ad.cross_entropy(ad.Tensor(logits.data[:, a - start : b - start]), ids[a + 1 : b + 1][None, :])
+                total += float(loss.data) * (b - a)
+            start = stop
     nll = total / n_scored
     try:
         ppl = math.exp(nll)

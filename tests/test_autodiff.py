@@ -93,7 +93,8 @@ class TestElementwise:
 
 class TestLinear:
     """One node: [..., n_in] rows through an [n_out, n_in] weight and an
-    optional [n_out] bias by a single GEMM."""
+    optional [n_out] bias by a single GEMM, or one GEMM per segment of a
+    [B, S, L, n_in] stack."""
 
     def test_forward_matches_triple_loop(self, rng):
         x_np = rng.standard_normal((2, 3, 5))
@@ -128,8 +129,8 @@ class TestLinear:
 
     @pytest.mark.parametrize("lead", [(3,), (2, 3), (2, 2, 3)], ids=["2d", "3d", "4d"])
     def test_matches_broadcasting_formula(self, rng, lead):
-        """Every leading axis is flattened into one GEMM; the weight and bias
-        gradients sum over all of them."""
+        """Rows of up to three axes run as one GEMM, a 4-D stack as one per
+        segment; the weight and bias gradients sum over every leading axis."""
         x_np = rng.standard_normal((*lead, 4))
         w_np = rng.standard_normal((5, 4))
         b_np = rng.standard_normal(5)
@@ -144,6 +145,17 @@ class TestLinear:
         np.testing.assert_allclose(x.grad, np.matmul(g_np, w_np), rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(b.grad, g_np.reshape(-1, 5).sum(axis=0), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n_in", [32, 64])
+    def test_segment_stack_rounds_each_segment_alone(self, rng, n_in):
+        """Each [L, n_in] segment of a [B, S, L, n_in] stack comes out bit for
+        bit as it does from a call on that segment alone, whatever BLAS does
+        with a longer run of rows."""
+        x_np = rng.standard_normal((2, 5, 16, n_in))
+        w, b = ad.Tensor(rng.standard_normal((3, 8, n_in))), ad.Tensor(rng.standard_normal(24))
+        out = ad.linear(ad.Tensor(x_np), w, b).data
+        for i, j in np.ndindex(2, 5):
+            assert out[i, j].tobytes() == ad.linear(ad.Tensor(x_np[i, j][None]), w, b).data[0].tobytes()
 
     def test_per_head_weight_matches_per_head_formula_and_central_differences(self, rng):
         """An [H, d_h, d] weight gives each head's [..., T, d_h] projection,

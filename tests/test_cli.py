@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import memxl.cli as cli
 from memxl.cli import main
 from memxl.train import load_model, save_model
 
@@ -72,6 +73,21 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "trained 3 steps" in out
         assert (tmp_path / "o.ckpt").exists()
+
+    def test_calls_share_no_overrides(self, monkeypatch, capsys):
+        """The parser is built once per process; ``--set``'s append action
+        still starts each call from an empty list."""
+        seen = []
+
+        def record(args):
+            seen.append(args.set)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(cli, "_kv", record)
+        for argv in (["--set", "steps=1"], ["--set", "seed=2", "--set", "steps=3"], []):
+            assert main(["train", *argv]) == 1
+        assert seen == [["steps=1"], ["seed=2", "steps=3"], None]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_missing_corpus_fails_cleanly(self, capsys):
         rc = main(["train", "--set", "steps=1"])

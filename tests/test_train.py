@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -7,13 +8,15 @@ import pytest
 import memxl.autodiff as ad
 import memxl.model as model_module
 from conftest import PANGRAM_TEXT, tiny_config
-from memxl import MemoryLM, RngHub, SkipSchedule, TrainConfig, Trainer, train
+from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule, TrainConfig, Trainer, train
 from memxl.attention import HeadAssignment
 from memxl.checkpoint import load_checkpoint, save_checkpoint
 from memxl.data import batchify, corpus_from_text
 from memxl.model import StreamState
 from memxl.skip import PHASE_SKIP_RETAIN, PHASE_VANILLA
 from memxl.train import LOG_HEADER, EvalReport, evaluate, load_model, save_model
+
+train_module = importlib.import_module("memxl.train")  # the package's ``train`` attribute is the function
 
 
 def make_ids(n=200, vocab=11, seed=0):
@@ -108,11 +111,9 @@ def reference_nll(model, ids, eval_context, eval_block, prune=None):
     return total / n_scored
 
 
-def stream_layouts(n_scored, eval_context, eval_block):
-    """(memory rows, block length) of each block of a stream."""
-    mem_len = eval_context - eval_block
-    starts = range(0, n_scored, eval_block)
-    return [(min(start, mem_len), min(eval_block, n_scored - start)) for start in starts]
+def blocks_per_call(monkeypatch, model, context, block, segments):
+    """Set evaluate's score budget so that a full-memory call runs ``segments`` blocks."""
+    monkeypatch.setattr(train_module, "EVAL_SCORES", segments * model.config.n_heads * block * context)
 
 
 class TestStreamingEvaluation:
@@ -198,19 +199,21 @@ class TestStreamingEvaluation:
         assert stream.next_position == 4
 
     def test_calls_that_the_benchmark_times_and_traces(self, monkeypatch):
-        """One MemoryLM.forward per block; per block, update_memory once per
-        layer with ``skipped`` as its third positional argument and a result
-        with ``.staleness``; encode_offsets, looked up on memxl.model, once
-        per change of tag layout, returning ``.offsets``."""
-        calls = {"forward": 0, "update": [], "encode": 0, "attention": 0}
+        """One MemoryLM.forward per chunk: one block per call while the memory
+        fills, then S whole blocks per call, then the short last block alone.
+        Per call, update_memory once per layer with ``skipped`` as its third
+        positional argument and a result with ``.staleness``; encode_offsets,
+        looked up on memxl.model, once per change of tag layout, returning
+        ``.offsets``. At eval_long's shape S is 1: one forward per block."""
+        calls = {"forward": [], "update": [], "encode": 0, "attention": 0}
         forward, update, encode, attend = (
             model_module.MemoryLM.forward, model_module.update_memory,
             model_module.encode_offsets, model_module.multi_head_forward,
         )
 
-        def counting_forward(self, *args, **kwargs):
-            calls["forward"] += 1
-            return forward(self, *args, **kwargs)
+        def counting_forward(self, tokens, *args, **kwargs):
+            calls["forward"].append(tokens.shape[1])
+            return forward(self, tokens, *args, **kwargs)
 
         def counting_update(*args, **kwargs):
             out = update(*args, **kwargs)
@@ -227,20 +230,112 @@ class TestStreamingEvaluation:
             calls["attention"] += 1
             return attend(*args, **kwargs)
 
+        budget = train_module.EVAL_SCORES
         monkeypatch.setattr(model_module.MemoryLM, "forward", counting_forward)
         monkeypatch.setattr(model_module, "update_memory", counting_update)
         monkeypatch.setattr(model_module, "encode_offsets", counting_encode)
         monkeypatch.setattr(model_module, "multi_head_forward", counting_attention)
         model = MemoryLM(tiny_config(n_layers=3), RngHub(0)["init"])
-        ids = make_ids(59)
-        evaluate(model, ids, 16, 4)
+        blocks_per_call(monkeypatch, model, 16, 4, 3)
+        evaluate(model, make_ids(59), 16, 4)
 
-        layouts = stream_layouts(58, 16, 4)
-        changes = 1 + sum(a != b for a, b in zip(layouts, layouts[1:]))
-        assert calls["forward"] == len(layouts) == math.ceil(58 / 4)
-        assert calls["update"] == [(False, 0)] * (3 * len(layouts))
-        assert calls["attention"] == 3 * len(layouts)
-        assert calls["encode"] == changes == 5  # memory of 0, 4, 8 and 12 rows, then the short last block
+        # 58 scored tokens: memory of 0, 4 and 8 rows, then 11 whole blocks
+        # over full memory as 3 + 3 + 3 + 2, then the short last block
+        assert calls["forward"] == [4, 4, 4, 12, 12, 12, 8, 2]
+        assert calls["update"] == [(False, 0)] * (3 * len(calls["forward"]))
+        assert calls["attention"] == 3 * len(calls["forward"])
+        assert calls["encode"] == 5  # memory of 0, 4, 8 and 12 rows, then the short last block
+
+        # eval_long's model and split: d128, 4 heads, context 640, 40 blocks of 64
+        monkeypatch.setattr(train_module, "EVAL_SCORES", budget)
+        calls["forward"].clear()
+        big = MemoryLM(
+            ModelConfig(n_layers=4, d_model=128, d_inner=512, n_heads=4, d_head=32, mem_len=64, block_len=64,
+                        vocab_size=128),
+            RngHub(0)["init"],
+        )
+        n_scored = 40 * 64
+        evaluate(big, make_ids(n_scored + 1, vocab=128), 640, 64)
+        assert calls["forward"] == [64] * math.ceil(n_scored / 64)
+
+    def test_stream_takes_several_blocks_only_over_full_memory(self):
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        stream = StreamState.fresh(model.config, 1, 4, 4)
+        ids = make_ids(12)[None, :]
+        with ad.no_grad():
+            with pytest.raises(ValueError, match="whole blocks"):
+                model.forward(ids[:, :8], stream)  # the memory is still empty
+            model.forward(ids[:, :4], stream)
+            for tokens, mask in ((ids[:, 4:10], None), (ids[:, 4:12], [True, False])):
+                with pytest.raises(ValueError, match="whole blocks"):
+                    model.forward(tokens, stream, skip_mask=mask)
+            assert stream.next_position == 4
+            logits, _ = model.forward(ids[:, 4:12], stream)
+        assert logits.shape == (1, 8, 11) and stream.next_position == 12
+        np.testing.assert_array_equal(stream.layers[1].tags, [8, 9, 10, 11])
+
+
+CHUNKS = pytest.mark.parametrize("segments", [1, 2, 3, 10**6], ids=["S1", "S2", "S3", "whole_split"])
+
+
+class TestChunkedEvaluation:
+    """Once the memory is full, evaluate runs S blocks per forward call,
+    layer by layer over the whole chunk; for every S the NLL is that of the
+    plain per-block forward loop, bit for bit. The cases are
+    TestStreamingEvaluation's, which run at the module's own budget."""
+
+    @CHUNKS
+    @pytest.mark.parametrize(
+        "n_ids, context, block, dtype, prune",
+        [
+            (61, 16, 4, "float64", None),            # memory fills over 3 blocks, then stays full
+            (59, 16, 4, "float64", None),            # short last block of 2 tokens
+            (41, 4, 4, "float64", None),             # context == block: no memory
+            (50, 12, 4, "float64", [[True, False], [False, True]]),
+            (61, 16, 4, "float32", None),
+        ],
+        ids=["fill_then_full", "short_last_block", "no_memory", "pruned", "float32"],
+    )
+    def test_matches_plain_forward_loop(self, monkeypatch, segments, n_ids, context, block, dtype, prune):
+        model = MemoryLM(tiny_config(param_dtype=dtype), RngHub(0)["init"])
+        ids = make_ids(n_ids)
+        prune = None if prune is None else np.array(prune)
+        blocks_per_call(monkeypatch, model, context, block, segments)
+        assert evaluate(model, ids, context, block, prune=prune).nll == reference_nll(model, ids, context, block, prune)
+
+    @CHUNKS
+    def test_trained_model_matches_plain_forward_loop(self, monkeypatch, trained_lm, segments):
+        model, ids = trained_lm
+        ids = ids[:300]
+        for context in (48, 16):
+            blocks_per_call(monkeypatch, model, context, 16, segments)
+            assert evaluate(model, ids, context, 16).nll == reference_nll(model, ids, context, 16)
+
+    def test_score_array_stays_within_the_budget(self, monkeypatch):
+        """Every call of S > 1 blocks holds at most EVAL_SCORES scores,
+        S * H * L * K with K = context keys per query."""
+        sizes = []
+        forward = model_module.MemoryLM.forward
+
+        def recording(self, tokens, *args, **kwargs):
+            sizes.append(tokens.shape[1])
+            return forward(self, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(model_module.MemoryLM, "forward", recording)
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        ids = make_ids(101)
+        chunked = 0
+        for budget in (1, 200, 1000, 2**15):
+            monkeypatch.setattr(train_module, "EVAL_SCORES", budget)
+            for context, block in ((16, 4), (12, 4), (8, 8), (6, 3)):
+                sizes.clear()
+                evaluate(model, ids, context, block)
+                assert sum(sizes) == 100
+                for n in sizes:
+                    if n > block:
+                        chunked += 1
+                        assert n % block == 0 and n // block * model.config.n_heads * block * context <= budget
+        assert chunked > 0
 
 
 class TestTrainerLoop:
