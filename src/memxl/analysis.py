@@ -173,30 +173,21 @@ def position_audit(
         eval_context = cfg.mem_len + cfg.block_len
     if eval_context < eval_block:
         raise ValueError(f"eval_context ({eval_context}) must be >= eval_block ({eval_block})")
-    audit = PositionAudit(
-        phase1=[{} for _ in range(cfg.n_layers)],
-        phase2=[{} for _ in range(cfg.n_layers)],
-        eval=[{} for _ in range(cfg.n_layers)],
+    audit = PositionAudit(*([{} for _ in range(cfg.n_layers)] for _ in SECTIONS))
+    sections = (
+        (audit.phase1, cfg.block_len, cfg.mem_len, True),
+        (audit.phase2, cfg.block_len, cfg.mem_len, False),
+        (audit.eval, eval_block, eval_context - eval_block, False),
     )
-
     with ad.no_grad():
-        for hists, sampled in ((audit.phase1, True), (audit.phase2, False)):
-            batches = batchify(ids, 1, cfg.block_len)
-            mems = model.init_memory(1)
+        for hists, block, mem_len, sampled in sections:
+            batches = batchify(ids, 1, block)
+            mems = model.init_memory(1, mem_len=mem_len)
             for t in range(steps):
                 mask = sample_skip_mask(schedule, cfg.n_layers, hub["skip"]) if sampled else None
                 record: list[LayerTrace] = []
-                inputs, _ = batches.step(t)
-                _, mems = model.forward(inputs, mems, skip_mask=mask, record=record)
+                _, mems = model.forward(batches.step(t)[0], mems, skip_mask=mask, record=record)
                 _accumulate(record, hists)
-
-        batches = batchify(ids, 1, eval_block)
-        mems = model.init_memory(1, mem_len=eval_context - eval_block)
-        for t in range(steps):
-            record = []
-            inputs, _ = batches.step(t)
-            _, mems = model.forward(inputs, mems, record=record)
-            _accumulate(record, audit.eval)
     return audit
 
 
@@ -266,9 +257,6 @@ def check_config() -> ModelConfig:
         init_std=0.25,
         param_dtype="float64",
     )
-
-
-REGIMES = ("baseline", "skip", "cross", "skip_cross")
 
 
 def grad_check_model(

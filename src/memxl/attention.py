@@ -113,52 +113,32 @@ def position_keys(enc: OffsetEncodings, w_kr: Tensor) -> Tensor:
     return ad.linear(Tensor(enc.vectors[None].astype(w_kr.dtype, copy=False)), w_kr)
 
 
-@dataclass
-class ProjectedMemory:
-    """Keys and values of a layer's memory rows, [B, M, H * d_h] each,
-    projected with the same (possibly crossed) parameters as the block's."""
-
-    keys: Tensor
-    values: Tensor
-
-    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values of the memory rows followed by the block's."""
-        return ad.concat([self.keys, keys], axis=1), ad.concat([self.values, values], axis=1)
-
-
-def project_memory(rows: Tensor, params: LayerAttentionParams) -> ProjectedMemory:
-    """Keys and values of [B, M, d] normalised memory rows."""
-    return ProjectedMemory(ad.linear(rows, params.w_ke), ad.linear(rows, params.w_v))
-
-
 def multi_head_forward(
-    x_block: Tensor,
-    memory: ProjectedMemory | None,
+    x_n: Tensor,
+    keys: Tensor,
+    values: Tensor,
     enc: OffsetEncodings,
     params: LayerAttentionParams,
     positions: Tensor,
     prune: np.ndarray | None = None,
 ) -> Tensor:
-    """Full attention sublayer body on [B, L, d] queries: row projections, the
-    fused attention core (head split, scores, softmax and merged head outputs
-    in one node), pruning and output projection. Returns [B, L, d].
+    """Attention sublayer body on [..., L, d] normalised query rows: query
+    projection, the fused attention core (head split, scores, softmax and
+    merged head outputs in one node), pruning and output projection.
+    Returns [..., L, d].
 
-    ``memory`` holds the projected [B, M, H * d_h] keys and values of the
-    memory rows; it may be any object whose ``extend`` appends the block's to
-    them. ``positions`` holds the [1, n, H * d_h] position keys of ``enc``
-    (``position_keys``). The block's own keys and values are projected here.
-    Cross-head matching happens before this call, in ``params.crossed``.
+    ``keys`` and ``values`` are the [..., K, H * d_h] rows the queries attend
+    to, the memory's first and the block's own last, projected with the same
+    (possibly crossed) ``params``. ``positions`` holds the [1, n, H * d_h]
+    position keys of ``enc`` (``position_keys``). Cross-head matching
+    happens before this call, in ``params.crossed``.
     """
     if prune is not None:
         prune = np.asarray(prune, dtype=bool)
         if prune.shape != (params.n_heads,):
             raise ValueError(f"prune mask must have length {params.n_heads}, got {prune.shape}")
-    keys = ad.linear(x_block, params.w_ke)  # [B, L, H * d_h]
-    values = ad.linear(x_block, params.w_v)
-    if memory is not None:
-        keys, values = memory.extend(keys, values)
-    q = ad.linear(x_block, params.w_q)
-    merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc)  # [B, L, H * d_h]
+    q = ad.linear(x_n, params.w_q)
+    merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc)  # [..., L, H * d_h]
     if prune is not None:
         merged = ad.mul(merged, Tensor(np.repeat(prune, params.d_head).astype(merged.dtype)))
     return ad.linear(merged, params.w_o)

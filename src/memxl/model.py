@@ -1,10 +1,11 @@
 """Memory-augmented autoregressive transformer stack.
 
 Each layer caches its most recent input activations (detached) together
-with their absolute positions; the next step's attention keys extend
-over those cached rows. A layer can be skipped for a step, in which case
-it passes its input through unchanged and keeps its cache as-is, growing
-the relative offsets its next update will see.
+with their absolute positions. ``MemoryLM.forward`` joins each layer's
+memory to the block in one place: the layer attends to the keys and values
+of its cached rows followed by the block's own. A layer can be skipped for
+a step, in which case it passes its input through unchanged and keeps its
+cache as-is, growing the relative offsets its next update will see.
 
 Streaming evaluation runs under fixed parameters, so it caches each
 layer's projected keys and values instead of the raw rows (``StreamState``).
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attention import HeadAssignment, LayerAttentionParams, multi_head_forward, position_keys, project_memory
+from .attention import HeadAssignment, LayerAttentionParams, multi_head_forward, position_keys
 from .relpos import OffsetEncodings, block_tags, encode_offsets, relative_offsets
 
 
@@ -303,10 +304,6 @@ class MemoryLM:
             mem_len = self.config.mem_len
         return MemoryState.fresh(self.config.n_layers, mem_len, batch, self.config.d_model, self.config.dtype)
 
-    def project(self, h: Tensor) -> Tensor:
-        """Logits via the transposed embedding table (tied weights)."""
-        return ad.linear(h, self.embedding)
-
     def _check_tokens(self, tokens) -> np.ndarray:
         tokens = np.asarray(tokens)
         if not np.issubdtype(tokens.dtype, np.integer):
@@ -411,12 +408,16 @@ class MemoryLM:
             if i not in layout.positions:
                 layout.positions[i] = position_keys(layout.enc, attn_params.w_kr)
             x_n = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
-            memory = lm if stream else None
-            if not stream and lm.buffer.shape[1] > 0:
-                rows = Tensor(lm.buffer.astype(cfg.dtype, copy=False))
-                memory = project_memory(ad.layer_norm(rows, lp.ln_attn_g, lp.ln_attn_b), attn_params)
+            keys, values = ad.linear(x_n, attn_params.w_ke), ad.linear(x_n, attn_params.w_v)
+            # the layer attends to its memory's rows followed by the block's
+            if stream:
+                keys, values = lm.extend(keys, values)
+            elif lm.buffer.shape[1] > 0:
+                rows = ad.layer_norm(Tensor(lm.buffer.astype(cfg.dtype, copy=False)), lp.ln_attn_g, lp.ln_attn_b)
+                keys = ad.concat([ad.linear(rows, attn_params.w_ke), keys], axis=1)
+                values = ad.concat([ad.linear(rows, attn_params.w_v), values], axis=1)
             prune_i = prune[i] if prune is not None else None
-            attn = multi_head_forward(x_n, memory, layout.enc, attn_params, layout.positions[i], prune_i)
+            attn = multi_head_forward(x_n, keys, values, layout.enc, attn_params, layout.positions[i], prune_i)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 
@@ -430,7 +431,7 @@ class MemoryLM:
             new_layers.append(update_memory(lm, layer_input, False, tags, mems.mem_len))
 
         final = ad.layer_norm(h, self.ln_out_g, self.ln_out_b)
-        logits = self.project(final)
+        logits = ad.linear(final, self.embedding)  # tied weights: the transposed embedding table
 
         if stream:
             mems.layers, mems.layouts, mems.next_position = new_layers, layouts, mems.next_position + n_tokens

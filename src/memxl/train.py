@@ -111,8 +111,9 @@ def evaluate(
     Once the memory is full, one ``MemoryLM.forward`` call runs a chunk of
     S whole blocks, the most whose attention scores fit in ``EVAL_SCORES``
     entries, and at least one. Blocks whose memory is still filling, and a
-    short last block, run one per call. Each block's NLL is taken from its
-    own logits and summed block by block, so the result does not depend on S.
+    short last block, run one per call. The call's per-token NLLs are taken
+    in one pass over its logits; each block's mean is summed block by block,
+    so the result does not depend on S.
 
     Deterministic: no skipping, no head resampling, no dropout.
     """
@@ -123,6 +124,8 @@ def evaluate(
         raise ValueError(f"eval_context ({eval_context}) must be >= eval_block ({eval_block})")
     if len(ids) < eval_block:
         raise ValueError(f"split of {len(ids)} tokens is shorter than one block of {eval_block}")
+    if ids.min() < 0 or ids.max() >= model.config.vocab_size:
+        raise ValueError(f"token id out of range [0, {model.config.vocab_size})")
     n_scored = len(ids) - 1
     if n_scored < 1:
         raise ValueError("split too short to score any token")
@@ -138,10 +141,14 @@ def evaluate(
             blocks = min(chunk if start >= mem_len else 1, (n_scored - start) // eval_block)
             stop = start + blocks * eval_block if blocks else n_scored
             logits, mems = model.forward(ids[start:stop][None, :], mems, prune=prune)
-            for a in range(start, stop, eval_block):
-                b = min(a + eval_block, stop)
-                loss = ad.cross_entropy(ad.Tensor(logits.data[:, a - start : b - start]), ids[a + 1 : b + 1][None, :])
-                total += float(loss.data) * (b - a)
+            # per-token NLL [S * L, 1] in ad.cross_entropy's arithmetic and order
+            x = logits.data[0]
+            shift = np.max(x, axis=-1, keepdims=True)
+            token_nll = np.log(np.exp(x - shift).sum(axis=-1, keepdims=True)) + shift
+            token_nll -= np.take_along_axis(x, ids[start + 1 : stop + 1, None], axis=-1)
+            for a in range(0, stop - start, eval_block):
+                block = token_nll[a : a + eval_block]
+                total += float(block.mean()) * len(block)
             start = stop
     nll = total / n_scored
     try:

@@ -143,9 +143,10 @@ class TestPositionAudit:
         assert audit.max_offset("phase1", 0) == m + l - 1
         # ...while the skippable one reaches strictly past it
         assert audit.max_offset("phase1", 1) > m + l - 1
-        # phase 2 never skips regardless of schedule
+        # phase 2 and evaluation never skip regardless of schedule
         for layer in range(2):
             assert audit.max_offset("phase2", layer) == m + l - 1
+            assert audit.max_offset("eval", layer) == m + l - 1
 
     def test_rows_are_sorted_and_labeled(self):
         model, hub = self.make_model()

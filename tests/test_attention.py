@@ -56,11 +56,13 @@ def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None, 
     enc = encode_offsets(offsets, x_block.shape[-1])
     x_t = ad.Tensor(x_block.reshape(-1, *x_block.shape[-2:]))
     params = params.crossed(assignment)
-    mem_t = None
+    keys, values = ad.linear(x_t, params.w_ke), ad.linear(x_t, params.w_v)
     if memory is not None and len(memory):
-        mem_t = attention.project_memory(ad.Tensor(memory.reshape(-1, *memory.shape[-2:])), params)
+        mem_t = ad.Tensor(memory.reshape(-1, *memory.shape[-2:]))
+        keys = ad.concat([ad.linear(mem_t, params.w_ke), keys], axis=1)
+        values = ad.concat([ad.linear(mem_t, params.w_v), values], axis=1)
     positions = attention.position_keys(enc, params.w_kr)
-    out = attention.multi_head_forward(x_t, mem_t, enc, params, positions, prune)
+    out = attention.multi_head_forward(x_t, keys, values, enc, params, positions, prune)
     out.data = out.data.reshape(x_block.shape)  # the output projection's VJP reads its gradient flat
     return out
 

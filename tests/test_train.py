@@ -80,6 +80,11 @@ class TestEvaluate:
         dead_layer[1] = False
         with pytest.raises(ValueError, match="unpruned head"):
             evaluate(model, make_ids(40), 8, 4, prune=dead_layer)
+        for last in (-1, 11):  # the last id is only ever a target, never a forward input
+            ids = make_ids(40)
+            ids[-1] = last
+            with pytest.raises(ValueError, match="out of range"):
+                evaluate(model, ids, 8, 4)
         with pytest.raises(ValueError, match="below 1"):
             EvalReport(nll=-0.5, ppl=math.exp(-0.5), bpc=-0.5 / math.log(2), tokens=1, context=4)
 
@@ -204,12 +209,15 @@ class TestStreamingEvaluation:
         Per call, update_memory once per layer with ``skipped`` as its third
         positional argument and a result with ``.staleness``; encode_offsets,
         looked up on memxl.model, once per change of tag layout, returning
-        ``.offsets``. At eval_long's shape S is 1: one forward per block."""
-        calls = {"forward": [], "update": [], "encode": 0, "attention": 0}
+        ``.offsets``; no ad.cross_entropy, whose span would otherwise count
+        evaluation's scoring as training's. At eval_long's shape S is 1: one
+        forward per block."""
+        calls = {"forward": [], "update": [], "encode": 0, "attention": 0, "cross_entropy": 0}
         forward, update, encode, attend = (
             model_module.MemoryLM.forward, model_module.update_memory,
             model_module.encode_offsets, model_module.multi_head_forward,
         )
+        cross_entropy = ad.cross_entropy
 
         def counting_forward(self, tokens, *args, **kwargs):
             calls["forward"].append(tokens.shape[1])
@@ -230,11 +238,16 @@ class TestStreamingEvaluation:
             calls["attention"] += 1
             return attend(*args, **kwargs)
 
+        def counting_cross_entropy(*args, **kwargs):
+            calls["cross_entropy"] += 1
+            return cross_entropy(*args, **kwargs)
+
         budget = train_module.EVAL_SCORES
         monkeypatch.setattr(model_module.MemoryLM, "forward", counting_forward)
         monkeypatch.setattr(model_module, "update_memory", counting_update)
         monkeypatch.setattr(model_module, "encode_offsets", counting_encode)
         monkeypatch.setattr(model_module, "multi_head_forward", counting_attention)
+        monkeypatch.setattr(ad, "cross_entropy", counting_cross_entropy)
         model = MemoryLM(tiny_config(n_layers=3), RngHub(0)["init"])
         blocks_per_call(monkeypatch, model, 16, 4, 3)
         evaluate(model, make_ids(59), 16, 4)
@@ -245,6 +258,7 @@ class TestStreamingEvaluation:
         assert calls["update"] == [(False, 0)] * (3 * len(calls["forward"]))
         assert calls["attention"] == 3 * len(calls["forward"])
         assert calls["encode"] == 5  # memory of 0, 4, 8 and 12 rows, then the short last block
+        assert calls["cross_entropy"] == 0
 
         # eval_long's model and split: d128, 4 heads, context 640, 40 blocks of 64
         monkeypatch.setattr(train_module, "EVAL_SCORES", budget)
