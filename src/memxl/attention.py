@@ -121,6 +121,7 @@ def multi_head_forward(
     params: LayerAttentionParams,
     positions: Tensor,
     prune: np.ndarray | None = None,
+    grids: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Attention sublayer body on [..., L, d] normalised query rows: query
     projection, the fused attention core (head split, scores, softmax and
@@ -131,14 +132,16 @@ def multi_head_forward(
     to, the memory's first and the block's own last, projected with the same
     (possibly crossed) ``params``. ``positions`` holds the [1, n, H * d_h]
     position keys of ``enc`` (``position_keys``). Cross-head matching
-    happens before this call, in ``params.crossed``.
+    happens before this call, in ``params.crossed``. ``grids``, under
+    ``no_grad`` only, are the buffers the core writes its score grids into
+    (``ad.attention_core``).
     """
     if prune is not None:
         prune = np.asarray(prune, dtype=bool)
         if prune.shape != (params.n_heads,):
             raise ValueError(f"prune mask must have length {params.n_heads}, got {prune.shape}")
     q = ad.linear(x_n, params.w_q)
-    merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc)  # [..., L, H * d_h]
+    merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc, grids)  # [..., L, H * d_h]
     if prune is not None:
         merged = ad.mul(merged, Tensor(np.repeat(prune, params.d_head).astype(merged.dtype)))
     return ad.linear(merged, params.w_o)

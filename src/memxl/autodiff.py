@@ -164,8 +164,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     normed = centered / std
 
     def vjp(g):
-        gn = g * gain.data
-        gx = (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
+        gx = None  # no input gradient for rows that take none, such as cached memory
+        if x.requires_grad:
+            gn = g * gain.data
+            gx = (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
         # gain and bias broadcast over every leading axis, so their grads sum over them
         lead = tuple(range(g.ndim - 1))
         return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
@@ -192,7 +194,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def vjp(g):
         g2d, x2d = g.reshape(-1, n_out), rows.reshape(-1, n_in)
-        gx = (g2d @ w2d).reshape(x.shape)
+        gx = (g2d @ w2d).reshape(x.shape) if x.requires_grad else None  # none for constant rows
         gw = (g2d.T @ x2d).reshape(w.shape)
         return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
 
@@ -209,7 +211,8 @@ def _relative_shift(grid: np.ndarray, length: int, span: int) -> np.ndarray:
     return as_strided(grid[..., length - 1:], grid.shape[:-1] + (span,), (*lead, row - col, col))
 
 
-def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout) -> Tensor:
+def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout,
+                   grids: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Relative-position attention of [..., L, H * d_h] query rows over
     [..., K, H * d_h] key rows and [..., K, H * d_v] value rows, with d_h the
     width of ``u`` and ``v``: each head's softmax(S) @ values, merged head by
@@ -230,6 +233,12 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     layout's gap-filled run; each run of keys reads one column slice of it.
     The VJP uses rowsum(dP * P) = rowsum(dO * O) (FlashAttention), so the
     softmax backward needs no second [B, H, L, K] array.
+
+    ``grids``, when given, are C-contiguous [..., H, L, n] and [..., H, L, K]
+    arrays that the position and key score grids are written into, in place
+    of fresh ones; a caller that evaluates block after block hands the same
+    pair to every call. The softmax is taken in the key grid, which the VJP
+    would keep, so grids are refused while a graph is being recorded.
     """
     d_head = u.shape[-1]
     n_heads = q.shape[-1] // d_head
@@ -245,10 +254,13 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     first, last, _ = layout.runs[-1]
     if last != n_keys or last - first < length:
         raise ValueError(f"encoding runs {layout.runs} do not match {length} queries by {n_keys} keys")
+    if grids is not None and _grad_enabled:
+        raise RuntimeError("attention score grids are reused from call to call; pass them under no_grad only")
+    pos_grid, key_grid = (None, None) if grids is None else grids
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
     qu, qv = qh + u.data, qh + v.data
-    shifted = _relative_shift(np.matmul(qv, ph.swapaxes(-1, -2)), length, span)
-    p = np.matmul(qu, kh.swapaxes(-1, -2))
+    shifted = _relative_shift(np.matmul(qv, ph.swapaxes(-1, -2), out=pos_grid), length, span)
+    p = np.matmul(qu, kh.swapaxes(-1, -2), out=key_grid)
     for a, b, c in layout.runs:
         p[..., a:b] += shifted[..., c:c + b - a]
     p *= scale

@@ -9,8 +9,8 @@ offset). Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -53,10 +53,16 @@ def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (metadata, arrays by name). Arrays are fresh writable copies."""
-    blob = Path(path).read_bytes()
+    """Returns (metadata, arrays by name). The file is read once, into one
+    buffer, and the arrays are writable views of it: a caller that keeps an
+    array past its own use of the rest copies it."""
+    with open(path, "rb") as f:
+        blob = bytearray(os.fstat(f.fileno()).st_size)
+        f.readinto(blob)
     if blob[:4] != MAGIC:
         raise ValueError(f"{path} is not a checkpoint file (bad magic)")
+    if len(blob) < 12:
+        raise ValueError(f"{path} is truncated: {len(blob)} bytes, shorter than the header length field")
     (header_len,) = struct.unpack("<Q", blob[4:12])
     header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     if header.get("version") != VERSION:
@@ -64,11 +70,13 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     base = 12 + header_len
     arrays = {}
     for e in header["arrays"]:
+        if base + e["offset"] + e["nbytes"] > len(blob):
+            raise ValueError(f"{path} is truncated: array {e['name']!r} ends past the file's {len(blob)} bytes")
         arr = np.frombuffer(
             blob,
             dtype=np.dtype(e["dtype"]),
             count=int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1,
             offset=base + e["offset"],
         )
-        arrays[e["name"]] = arr.reshape(e["shape"]).copy()
+        arrays[e["name"]] = arr.reshape(e["shape"])
     return header["meta"], arrays

@@ -13,9 +13,11 @@ layer's projected keys and values instead of the raw rows (``StreamState``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -164,17 +166,21 @@ class MemoryState:
 @dataclass
 class StreamLayer:
     """One layer's memory in a stream: the projected keys and values of its
-    newest rows, [B, rows, H * d_h] each, rows <= mem_len.
+    newest rows, rows <= mem_len, which are the rows just before ``stop`` of
+    two [B, capacity, H * d_h] stores that the layer owns.
 
-    ``extend`` appends a call's keys and values to them and hands each block
-    of the call its window; ``advanced`` then keeps views of the newest
-    ``mem_len`` rows. Nothing is written in place.
+    ``extend`` writes a call's keys and values after them, in place, and
+    hands each block of the call its window as a view, valid until the next
+    ``extend``; ``advanced`` then keeps the newest ``mem_len`` rows by their
+    tags alone. A call whose rows do not fit after ``stop`` first moves the
+    kept rows to the front of the stores (``_compact``).
     """
 
-    keys: np.ndarray
-    values: np.ndarray
-    tags: np.ndarray  # [rows] absolute positions
+    keys: np.ndarray    # store, [B, capacity, H * d_h]
+    values: np.ndarray  # store, [B, capacity, H * d_h]
+    tags: np.ndarray    # [rows] absolute positions
     staleness: int = 0
+    stop: int = 0       # the kept rows are the stores' rows stop - rows .. stop - 1
 
     def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         """Keys and values of each of the call's [B, S, L, H * d_h] blocks
@@ -182,33 +188,67 @@ class StreamLayer:
         windows. For S > 1 the memory must be full, so that every block's
         memory is the ``rows`` rows just before it."""
         batch, segments, length, width = keys.shape
-        shape = (batch, segments, len(self.tags) + length, width)
+        rows, new = len(self.tags), segments * length
+        if self.stop + new > self.keys.shape[1]:
+            self._compact(rows, new)
+        first, self.stop = self.stop - rows, self.stop + new
 
-        def windows(rows):  # window s starts at row s * length: overlapping views, no copy
-            b, r, c = rows.strides
-            return Tensor(np.ndarray(shape, rows.dtype, rows, 0, (b, length * r, r, c)))
+        def windows(store):  # window s starts at row first + s * length: overlapping views, no copy
+            b, r, c = store.strides
+            shape = (batch, segments, rows + length, width)
+            return Tensor(as_strided(store[:, first:], shape, (b, length * r, r, c), writeable=False))
 
-        self.keys = np.concatenate([self.keys, keys.data.reshape(batch, -1, width)], axis=1)
-        self.values = np.concatenate([self.values, values.data.reshape(batch, -1, width)], axis=1)
+        self.keys[:, self.stop - new:self.stop] = keys.data.reshape(batch, new, width)
+        self.values[:, self.stop - new:self.stop] = values.data.reshape(batch, new, width)
         return windows(self.keys), windows(self.values)
+
+    def _compact(self, rows: int, new: int) -> None:
+        """Move the kept rows to the front of the stores, into new stores of
+        ``rows + new`` rows if the current ones cannot hold ``new`` more; a
+        chunk of several blocks then compacts on every call, copying only
+        the kept rows, and the stores stay as small as the call."""
+        batch, capacity, width = self.keys.shape
+        first, size = self.stop - rows, max(capacity, rows + new)
+        stores = []
+        for old in (self.keys, self.values):
+            store = old if size == capacity else np.empty((batch, size, width), old.dtype)
+            # one flat copy per stream row: numpy copies an overlapping 1-D
+            # range in place, where a [B, rows, width] one goes through a temporary
+            for src, dst in zip(old.reshape(batch, -1), store.reshape(batch, -1)):
+                dst[:rows * width] = src[first * width:self.stop * width]
+            stores.append(store)
+        self.keys, self.values = stores
+        self.stop = rows
 
     def advanced(self, x, step_tags, mem_len: int) -> "StreamLayer":
         """Keep the newest ``mem_len`` of the rows ``extend`` left; ``x`` is
         not read, since the call's keys and values are already projected."""
-        self.tags = _newest_tags(self.tags, step_tags, mem_len)
-        start = self.keys.shape[1] - len(self.tags)
-        self.keys, self.values, self.staleness = self.keys[:, start:], self.values[:, start:], 0
+        self.tags, self.staleness = _newest_tags(self.tags, step_tags, mem_len), 0
         return self
 
 
 @dataclass
 class _Layout:
     """The offsets that one cache-tag layout gives a block, their encoding,
-    and each layer's [1, n, H * d_h] position keys of that encoding."""
+    each layer's [1, n, H * d_h] position keys of that encoding, and, in a
+    stream, the buffers of the attention core's score grids."""
 
     offsets: np.ndarray  # [L, K]
     enc: OffsetEncodings
     positions: dict[int, Tensor] = field(default_factory=dict)
+    grids: list[np.ndarray] = field(default_factory=list)  # flat
+
+    def score_grids(self, lead: tuple[int, ...], n_heads: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """[*lead, H, L, n] and [*lead, H, L, K] arrays for ``ad.attention_core``'s
+        position and key score grids: the fronts of two flat buffers that
+        live as long as the layout and that its layers, which run one after
+        another, share. A call of more segments than any before grows them."""
+        length, n_keys = self.offsets.shape
+        shapes = [(*lead, n_heads, length, len(self.enc.offsets)), (*lead, n_heads, length, n_keys)]
+        sizes = [math.prod(shape) for shape in shapes]
+        if not self.grids or self.grids[0].size < sizes[0]:
+            self.grids = [np.empty(size, dtype) for size in sizes]
+        return tuple(grid[:size].reshape(shape) for grid, size, shape in zip(self.grids, sizes, shapes))
 
 
 @dataclass
@@ -216,12 +256,14 @@ class StreamState:
     """Memory for streaming evaluation: what stays fixed from block to block
     while the parameters do.
 
-    Each layer holds its projected memory keys and values as [B, rows,
-    H * d_h] rows (``StreamLayer``); ``layouts`` holds the current block's
-    tag layout with its offset encoding and each layer's position keys. It is
-    only valid while the parameters do not change, so ``MemoryLM.forward``
-    takes it under ``no_grad`` only, and advances it in place. A call passes
-    one block of at most ``block_len`` tokens, or, once every layer's memory
+    Each layer holds its projected memory keys and values in stores it
+    writes in place (``StreamLayer``); ``layouts`` holds the current block's
+    tag layout with its offset encoding, each layer's position keys and the
+    score-grid buffers its layers share, so a call over a layout already
+    seen allocates nothing that grows with the context. The state is only
+    valid while the parameters do not change, so ``MemoryLM.forward`` takes
+    it under ``no_grad`` only, and advances it in place. A call passes one
+    block of at most ``block_len`` tokens, or, once every layer's memory
     holds the ``mem_len`` rows just before it, several whole blocks.
     """
 
@@ -237,10 +279,10 @@ class StreamState:
 
     @staticmethod
     def fresh(config: "ModelConfig", batch: int, mem_len: int, block_len: int) -> "StreamState":
-        shape = (batch, 0, config.n_heads * config.d_head)
+        shape = (batch, mem_len + 2 * block_len, config.n_heads * config.d_head)  # compacted every other block
         return StreamState(
             layers=[
-                StreamLayer(np.zeros(shape, config.dtype), np.zeros(shape, config.dtype), np.zeros(0, dtype=np.int64))
+                StreamLayer(np.empty(shape, config.dtype), np.empty(shape, config.dtype), np.zeros(0, dtype=np.int64))
                 for _ in range(config.n_layers)
             ],
             mem_len=mem_len,
@@ -417,7 +459,8 @@ class MemoryLM:
                 keys = ad.concat([ad.linear(rows, attn_params.w_ke), keys], axis=1)
                 values = ad.concat([ad.linear(rows, attn_params.w_v), values], axis=1)
             prune_i = prune[i] if prune is not None else None
-            attn = multi_head_forward(x_n, keys, values, layout.enc, attn_params, layout.positions[i], prune_i)
+            grids = layout.score_grids(h.shape[:-2], cfg.n_heads, cfg.dtype) if stream else None
+            attn = multi_head_forward(x_n, keys, values, layout.enc, attn_params, layout.positions[i], prune_i, grids)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 

@@ -106,7 +106,8 @@ def evaluate(
     The memory is a ``StreamState``: from call to call it carries each
     layer's projected keys and values of the newest rows and the current tag
     layout's offset encoding and position keys, which cannot change while
-    the parameters are fixed. It lives for this call only.
+    the parameters are fixed, in arrays it owns and rewrites in place with
+    the score-grid buffers. It lives for this call only.
 
     Once the memory is full, one ``MemoryLM.forward`` call runs a chunk of
     S whole blocks, the most whose attention scores fit in ``EVAL_SCORES``
@@ -168,6 +169,7 @@ class LogRow:
     lr: float
     train_nll: float
     eval_ppl: float | None = None
+    grad_norm: float | None = None  # before clipping; kept in memory, not written to the log file
 
     def line(self) -> str:
         tail = "" if self.eval_ppl is None else f"{self.eval_ppl:.6f}"
@@ -245,13 +247,13 @@ class Trainer:
         for _, p, _ in self.adam.table:
             p.grad = None
         ad.backward(loss)
-        clip_global_norm(self.adam.gather_grads(), cfg.clip_norm)
+        grad_norm = clip_global_norm(self.adam.gather_grads(), cfg.clip_norm)
         lr = cosine_lr(self.step, cfg.base_lr, cfg.max_iters)
         adam_update(self.adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
         self.mems = new_mems
         self.step += 1
-        row = LogRow(step=self.step, phase=phase, lr=lr, train_nll=nll)
+        row = LogRow(step=self.step, phase=phase, lr=lr, train_nll=nll, grad_norm=grad_norm)
 
         if self.eval_ids is not None and self.step % cfg.eval_interval == 0:
             report = evaluate(model, self.eval_ids, cfg.eval_context, cfg.eval_block)
@@ -342,11 +344,12 @@ class Trainer:
             m[...] = arrays[f"adam_m.{name}"]
             v[...] = arrays[f"adam_v.{name}"]
         adam.t = int(meta["adam_t"])
+        # the arrays are views of the file's bytes: copy what stays live, so the rest is freed
         trainer.mems = MemoryState(
             layers=[
                 LayerMemory(
-                    buffer=arrays[f"mem.{i}.buffer"],
-                    tags=arrays[f"mem.{i}.tags"],
+                    buffer=arrays[f"mem.{i}.buffer"].copy(),
+                    tags=arrays[f"mem.{i}.tags"].copy(),
                     staleness=int(meta["mem"]["staleness"][i]),
                 )
                 for i in range(mcfg.n_layers)

@@ -423,6 +423,23 @@ class TestFused:
             ad.backward(out)
             assert [p.grad.dtype for p in inputs] == [np.float32] * len(inputs), name
 
+    @pytest.mark.parametrize("weights", [(5,), (4, 5), (2, 3, 5)], ids=["layer_norm", "linear", "linear_per_head"])
+    def test_constant_input_gets_no_gradient_and_the_rest_are_bitwise_unchanged(self, rng, weights):
+        """Rows that take no gradient, such as cached memory or encoding
+        vectors, get None from the VJP, and the weights' gradients are the
+        same bytes as when the rows take one."""
+        x_np = rng.standard_normal((2, 3, 5))
+        w_np, b_np = rng.standard_normal(weights), rng.standard_normal(weights[0])
+        op = ad.layer_norm if len(weights) == 1 else ad.linear
+        arrays = (w_np,) if len(weights) == 3 else (w_np, b_np)
+        grads = {}
+        for live in (True, False):
+            out = op(ad.Tensor(x_np, requires_grad=live), *(ad.Tensor(a, requires_grad=True) for a in arrays))
+            input_grad, *rest = out._vjp(np.random.default_rng(1).standard_normal(out.shape))
+            assert (input_grad is not None) == live
+            grads[live] = [r.tobytes() for r in rest]
+        assert grads[True] == grads[False]
+
     def test_layer_norm_rejects_bad_gain_and_bias(self):
         x = ad.Tensor(np.zeros((2, 4)))
         with pytest.raises(ValueError, match="gain/bias"):
@@ -490,6 +507,34 @@ class TestAttentionCore:
             moved, _ = core_run(ad.attention_core, inputs, enc, weights)
             np.testing.assert_array_equal(moved[:, :-1], out[:, :-1])
             assert not np.array_equal(moved[:, -1], out[:, -1])
+
+    @pytest.mark.parametrize("layout", ["filling", "stale3"])
+    def test_score_grids_written_into_given_buffers(self, rng, layout):
+        """Handed [B, H, L, n] and [B, H, L, K] buffers under no_grad, the core
+        writes its two score grids there and returns the same bytes as with
+        fresh grids, call after call; the key grid ends up holding the softmax."""
+        inputs, enc, offsets = core_inputs(rng, np.float64, layout)
+        batch, n_heads = inputs[0].shape[0], 3
+        length, n_keys = offsets.shape
+        grids = (np.full((batch, n_heads, length, enc.offsets.size), np.nan),
+                 np.full((batch, n_heads, length, n_keys), np.nan))
+        with ad.no_grad():
+            want = ad.attention_core(*inputs, enc).data
+            for _ in range(2):
+                got = ad.attention_core(*inputs, enc, grids).data
+                assert got.tobytes() == want.tobytes()
+                np.testing.assert_allclose(grids[1].sum(axis=-1), 1.0, rtol=1e-13)
+                assert not np.isnan(grids[0]).any()
+                for grid in grids:
+                    grid[...] = np.nan
+
+    def test_score_grids_refused_while_recording(self, rng):
+        """The VJP keeps the softmax, which a reused buffer would overwrite."""
+        inputs, enc, offsets = core_inputs(rng, np.float64, "full")
+        length, n_keys = offsets.shape
+        grids = (np.empty((2, 3, length, enc.offsets.size)), np.empty((2, 3, length, n_keys)))
+        with pytest.raises(RuntimeError, match="no_grad"):
+            ad.attention_core(*inputs, enc, grids)
 
     def test_rejects_layout_of_other_queries_or_keys(self, rng):
         inputs, _, _ = core_inputs(rng, np.float64, "stale1")  # 4 queries, 8 keys

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,33 @@ class TestFormatGuards:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_file_cut_anywhere_is_rejected(self, tmp_path):
+        """Inside the length field, the header, the first array or the last."""
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, {"a": 1}, {"x": np.ones(10), "y": np.arange(3)})
+        blob = path.read_bytes()
+        for size in (8, 20, len(blob) - 100, len(blob) - 1):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
+
     def test_magic_is_stable(self, tmp_path):
         path = tmp_path / "state.ckpt"
         save_checkpoint(path, {}, {})
         assert path.read_bytes()[:4] == MAGIC
+
+
+class TestMemory:
+    def test_load_holds_one_copy_of_the_file(self, tmp_path, rng):
+        """The arrays are views of the one buffer the file is read into, so the
+        peak of a load is about one file, where a copy per array made it two."""
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, {}, {f"a{i}": rng.standard_normal(20_000) for i in range(8)})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size <= peak < 1.1 * size

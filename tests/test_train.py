@@ -1,6 +1,7 @@
 import importlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,91 @@ class TestChunkedEvaluation:
         assert chunked > 0
 
 
+def stream_calls(model, ids, stream, length):
+    """Run ``ids`` through ``stream`` in [B, length] calls, under no_grad."""
+    with ad.no_grad():
+        for a in range(0, ids.shape[1], length):
+            model.forward(ids[:, a : a + length], stream)
+
+
+class TestStreamBuffers:
+    """A stream owns the arrays it rewrites every block: each layer's key and
+    value stores and, per tag layout, one pair of score grids that its layers
+    share. Once the layout stops changing, no call allocates either again."""
+
+    CONTEXT, BLOCK = 1024, 16  # a [1, 1, 2, 16, 1024] grid is 256 KiB, four of numpy's 64 KiB ufunc buffers
+
+    def full_stream(self):
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        stream = StreamState.fresh(model.config, 1, self.CONTEXT - self.BLOCK, self.BLOCK)
+        ids = make_ids(self.CONTEXT + 4 * self.BLOCK)[None, :]
+        stream_calls(model, ids[:, : self.CONTEXT], stream, self.BLOCK)  # the last of these reads a full memory
+        return model, stream, ids[:, self.CONTEXT :]
+
+    def test_steady_calls_allocate_no_score_grid(self):
+        """Four calls, two of which compact the stores, peak below one grid;
+        grids allocated afresh would put the peak at two grids or more."""
+        model, stream, ids = self.full_stream()
+        grid_bytes = model.config.n_heads * self.BLOCK * self.CONTEXT * 8
+        tracemalloc.start()
+        try:
+            stream_calls(model, ids, stream, self.BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes
+
+    def test_consecutive_calls_reuse_the_same_buffers(self):
+        model, stream, ids = self.full_stream()
+        (layout,) = stream.layouts.values()
+        grids, stores = list(layout.grids), [(lm.keys, lm.values) for lm in stream.layers]
+        stream_calls(model, ids, stream, self.BLOCK)
+        assert list(stream.layouts.values()) == [layout]
+        assert all(a is b for a, b in zip(layout.grids, grids))
+        for lm, (keys, values) in zip(stream.layers, stores):
+            assert lm.keys is keys and lm.values is values
+
+    def test_batch_of_two_compacts_its_stores_row_by_row(self):
+        """Each stream row keeps its own rows through the compactions that
+        move them to the front of the stores, bit for bit as a plain loop."""
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        ids = np.stack([make_ids(41, seed=1), make_ids(41, seed=2)])
+        stream = StreamState.fresh(model.config, 2, 8, 4)
+        stops = []
+        with ad.no_grad():
+            mems = model.init_memory(batch=2, mem_len=8)
+            for a in range(0, 40, 4):
+                got, _ = model.forward(ids[:, a : a + 4], stream)
+                want, mems = model.forward(ids[:, a : a + 4], mems)
+                assert got.data.tobytes() == want.data.tobytes()
+                stops.append(stream.layers[0].stop)
+        compactions = sum(b < a for a, b in zip(stops, stops[1:]))
+        assert stream.layers[0].keys.shape[1] == 16 and compactions >= 3  # moved to the front, not grown
+
+    def test_tiny_shape_chunks_then_a_shorter_chunk_match_the_block_loop(self, monkeypatch):
+        """At tiny.cfg's shape a full-memory call runs S = 16 blocks; a shorter
+        chunk after it reads the front of the same grid buffers."""
+        model = MemoryLM(
+            ModelConfig(n_layers=4, d_model=32, d_inner=64, n_heads=2, d_head=16, mem_len=16, block_len=16,
+                        vocab_size=11, beta=0.1, init_std=0.05),
+            RngHub(5)["init"],
+        )
+        ids = make_ids(16 * 22 + 8, seed=3)  # a block of filling memory, 16 + 5 blocks, 7 tokens
+        want = reference_nll(model, ids, 32, 16)
+        calls = []
+        attend = model_module.multi_head_forward
+
+        def recording(*args):
+            calls.append((args[0].shape[1], args[-1][1].base))
+            return attend(*args)
+
+        monkeypatch.setattr(model_module, "multi_head_forward", recording)
+        assert evaluate(model, ids, 32, 16).nll == want
+        # one call per layer: calls 4-7 run the 16-block chunk, 8-11 the 5-block one
+        assert [segments for segments, _ in calls[::4]] == [1, 16, 5, 1]
+        assert calls[4][1] is calls[8][1] is calls[11][1]
+
+
 class TestTrainerLoop:
     def test_repeated_runs_are_bitwise_identical(self):
         a = quick_trainer(steps=6, seed=4)
@@ -370,6 +456,19 @@ class TestTrainerLoop:
         trainer.run()
         assert trainer.step == 4 and trainer.log[1].eval_ppl is not None
         assert calls == []
+
+    def test_row_keeps_the_gradient_norm_before_clipping(self, monkeypatch):
+        """The norm of the gathered gradients, which clipping then scaled down;
+        the log file's columns stay as they were."""
+        trainer = quick_trainer(steps=3, clip_norm=1e-3)
+        gathered = []
+        clip = train_module.clip_global_norm
+        monkeypatch.setattr(train_module, "clip_global_norm", lambda g, m: gathered.append(g.copy()) or clip(g, m))
+        trainer.run()
+        for row, grad in zip(trainer.log, gathered, strict=True):
+            assert row.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-12) and row.grad_norm > 1e-3
+            assert row.line().count("\t") == LOG_HEADER.count("\t")
+        assert np.linalg.norm(trainer.adam.grad) == pytest.approx(1e-3, rel=1e-12)  # the last step was clipped
 
     def test_parameter_rebound_away_from_the_arena_is_refused(self):
         trainer = quick_trainer(steps=4)
@@ -477,6 +576,35 @@ class TestPersistence:
         assert adam.t == trainer.adam.t == 3
         for got, want in ((adam.m, trainer.adam.m), (adam.v, trainer.adam.v)):
             assert got.tobytes() == want.tobytes()
+
+    def test_load_holds_the_file_once_and_copies_the_memory_it_keeps(self, tmp_path):
+        """Beyond building the trainer, a load holds about one checkpoint: the
+        file's bytes. The memory rows and tags that stay live are copies, so
+        those bytes are freed once the load returns."""
+        mcfg, cfg = tiny_config(d_model=32, d_inner=128, n_heads=4, d_head=8), TrainConfig(steps=3, eval_block=4)
+        batches = batchify(make_ids(), 1, 4)
+
+        def build():
+            return Trainer(MemoryLM(mcfg, RngHub(0)["init"]), cfg, batches, None, RngHub(0))
+
+        trainer = build()
+        trainer.run()
+        path = tmp_path / "t.ckpt"
+        trainer.save(path)
+        size = path.stat().st_size
+
+        peaks = []
+        for make in (build, lambda: Trainer.load(path, batches)):
+            tracemalloc.start()
+            try:
+                resumed = make()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1.3 * size, (peaks, size)
+        for lm, want in zip(resumed.mems.layers, trainer.mems.layers):
+            assert lm.buffer.flags.owndata and lm.tags.flags.owndata
+            assert lm.buffer.tobytes() == want.buffer.tobytes()
 
     def test_checkpoint_every_writes_file(self, tmp_path):
         path = tmp_path / "auto.ckpt"
