@@ -299,6 +299,15 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     return _make(merge(out), (q, keys, values, positions, u, v), vjp)
 
 
+def token_nll(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token NLL [..., 1] in nats of ``targets`` in [0, V) under logits ``x``
+    [..., V], with the exp(x - max) and sums that ``cross_entropy``'s VJP reads."""
+    shift = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - shift)
+    total = e.sum(axis=-1, keepdims=True)
+    return np.log(total) + shift - np.take_along_axis(x, targets[..., None], axis=-1), e, total
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood in nats of ``targets`` under ``logits``.
 
@@ -310,11 +319,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(f"targets shape {targets.shape} does not match logits {logits.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= vocab):
         raise ValueError(f"target id out of range [0, {vocab})")
-    shift = np.max(logits.data, axis=-1, keepdims=True)
-    e = np.exp(logits.data - shift)
-    total = e.sum(axis=-1, keepdims=True)
-    picked = np.take_along_axis(logits.data, targets[..., None], axis=-1)
-    per_token = np.log(total) + shift - picked
+    per_token, e, total = token_nll(logits.data, targets)
 
     def vjp(g):
         onehot = np.arange(vocab) == targets[..., None]

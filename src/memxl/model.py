@@ -167,7 +167,8 @@ class MemoryState:
 class StreamLayer:
     """One layer's memory in a stream: the projected keys and values of its
     newest rows, rows <= mem_len, which are the rows just before ``stop`` of
-    two [B, capacity, H * d_h] stores that the layer owns.
+    two [B, capacity, H * d_h] stores that the layer owns, sized by
+    ``StreamState.fresh`` to hold the memory and the largest call after it.
 
     ``extend`` writes a call's keys and values after them, in place, and
     hands each block of the call its window as a view, valid until the next
@@ -190,7 +191,7 @@ class StreamLayer:
         batch, segments, length, width = keys.shape
         rows, new = len(self.tags), segments * length
         if self.stop + new > self.keys.shape[1]:
-            self._compact(rows, new)
+            self._compact(rows)
         first, self.stop = self.stop - rows, self.stop + new
 
         def windows(store):  # window s starts at row first + s * length: overlapping views, no copy
@@ -202,22 +203,15 @@ class StreamLayer:
         self.values[:, self.stop - new:self.stop] = values.data.reshape(batch, new, width)
         return windows(self.keys), windows(self.values)
 
-    def _compact(self, rows: int, new: int) -> None:
-        """Move the kept rows to the front of the stores, into new stores of
-        ``rows + new`` rows if the current ones cannot hold ``new`` more; a
-        chunk of several blocks then compacts on every call, copying only
-        the kept rows, and the stores stay as small as the call."""
-        batch, capacity, width = self.keys.shape
-        first, size = self.stop - rows, max(capacity, rows + new)
-        stores = []
-        for old in (self.keys, self.values):
-            store = old if size == capacity else np.empty((batch, size, width), old.dtype)
+    def _compact(self, rows: int) -> None:
+        """Move the kept rows to the front of the stores."""
+        batch, _, width = self.keys.shape
+        first = self.stop - rows
+        for store in (self.keys, self.values):
             # one flat copy per stream row: numpy copies an overlapping 1-D
             # range in place, where a [B, rows, width] one goes through a temporary
-            for src, dst in zip(old.reshape(batch, -1), store.reshape(batch, -1)):
-                dst[:rows * width] = src[first * width:self.stop * width]
-            stores.append(store)
-        self.keys, self.values = stores
+            for row in store.reshape(batch, -1):
+                row[:rows * width] = row[first * width:self.stop * width]
         self.stop = rows
 
     def advanced(self, x, step_tags, mem_len: int) -> "StreamLayer":
@@ -230,25 +224,11 @@ class StreamLayer:
 @dataclass
 class _Layout:
     """The offsets that one cache-tag layout gives a block, their encoding,
-    each layer's [1, n, H * d_h] position keys of that encoding, and, in a
-    stream, the buffers of the attention core's score grids."""
+    and each layer's [1, n, H * d_h] position keys of that encoding."""
 
     offsets: np.ndarray  # [L, K]
     enc: OffsetEncodings
     positions: dict[int, Tensor] = field(default_factory=dict)
-    grids: list[np.ndarray] = field(default_factory=list)  # flat
-
-    def score_grids(self, lead: tuple[int, ...], n_heads: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """[*lead, H, L, n] and [*lead, H, L, K] arrays for ``ad.attention_core``'s
-        position and key score grids: the fronts of two flat buffers that
-        live as long as the layout and that its layers, which run one after
-        another, share. A call of more segments than any before grows them."""
-        length, n_keys = self.offsets.shape
-        shapes = [(*lead, n_heads, length, len(self.enc.offsets)), (*lead, n_heads, length, n_keys)]
-        sizes = [math.prod(shape) for shape in shapes]
-        if not self.grids or self.grids[0].size < sizes[0]:
-            self.grids = [np.empty(size, dtype) for size in sizes]
-        return tuple(grid[:size].reshape(shape) for grid, size, shape in zip(self.grids, sizes, shapes))
 
 
 @dataclass
@@ -256,20 +236,24 @@ class StreamState:
     """Memory for streaming evaluation: what stays fixed from block to block
     while the parameters do.
 
-    Each layer holds its projected memory keys and values in stores it
-    writes in place (``StreamLayer``); ``layouts`` holds the current block's
-    tag layout with its offset encoding, each layer's position keys and the
-    score-grid buffers its layers share, so a call over a layout already
-    seen allocates nothing that grows with the context. The state is only
-    valid while the parameters do not change, so ``MemoryLM.forward`` takes
-    it under ``no_grad`` only, and advances it in place. A call passes one
-    block of at most ``block_len`` tokens, or, once every layer's memory
-    holds the ``mem_len`` rows just before it, several whole blocks.
+    ``fresh`` allocates the arrays a stream rewrites, once: each layer's
+    projected memory keys and values (``StreamLayer``), and one pair of flat
+    buffers whose fronts every layer and layout uses as the attention core's
+    score grids. ``layouts`` holds the current block's tag layout with its
+    offset encoding and each layer's position keys. The state is only valid
+    while the parameters do not change, so ``MemoryLM.forward`` takes it
+    under ``no_grad`` only, and advances it in place. A call passes one block
+    of at most ``block_len`` tokens, or, once every layer's memory holds the
+    ``mem_len`` rows just before it, up to ``blocks`` whole blocks. Every
+    layer runs on every block, so the tags are contiguous and a layout's n
+    position offsets are its K keys: both grids are [B, S, H, L, K].
     """
 
     layers: list[StreamLayer]
     mem_len: int
     block_len: int
+    blocks: int                       # S, the most whole blocks per call
+    grids: tuple[np.ndarray, ...]     # flat, B * S * H * block_len * (mem_len + block_len) entries each
     next_position: int = 0
     layouts: dict[tuple, _Layout] = field(default_factory=dict)
 
@@ -278,8 +262,10 @@ class StreamState:
         return self.layers[0].keys.shape[0]
 
     @staticmethod
-    def fresh(config: "ModelConfig", batch: int, mem_len: int, block_len: int) -> "StreamState":
-        shape = (batch, mem_len + 2 * block_len, config.n_heads * config.d_head)  # compacted every other block
+    def fresh(config: "ModelConfig", batch: int, mem_len: int, block_len: int, blocks: int = 1) -> "StreamState":
+        # one-block streams compact every other block, chunked ones on every full call
+        shape = (batch, mem_len + max(2, blocks) * block_len, config.n_heads * config.d_head)
+        grid = batch * blocks * config.n_heads * block_len * (mem_len + block_len)
         return StreamState(
             layers=[
                 StreamLayer(np.empty(shape, config.dtype), np.empty(shape, config.dtype), np.zeros(0, dtype=np.int64))
@@ -287,6 +273,8 @@ class StreamState:
             ],
             mem_len=mem_len,
             block_len=block_len,
+            blocks=blocks,
+            grids=(np.empty(grid, config.dtype), np.empty(grid, config.dtype)),
         )
 
 
@@ -380,11 +368,12 @@ class MemoryLM:
         projects again, with the graph attached; the call returns a new
         state. A ``StreamState`` holds projections of the current
         parameters through each layer's own heads, so it is accepted only
-        under ``no_grad`` and with no crossed heads; the call advances it
-        in place and returns it. Under a full stream, ``tokens`` may hold S
-        whole blocks, [B, S * L]: each layer runs over them as one [B, S, L]
-        stack, since a block's memory is the layer below's output over the
-        rows before it, which the call has already computed.
+        under ``no_grad``, with no crossed heads and no skip mask; the call
+        advances it in place and returns it. Under a full stream, ``tokens``
+        may hold up to the stream's S whole blocks, [B, S * L]: each layer
+        runs over them as one [B, S, L] stack, since a block's memory is the
+        layer below's output over the rows before it, which the call has
+        already computed.
         """
         cfg = self.config
         stream = isinstance(mems, StreamState)
@@ -399,6 +388,8 @@ class MemoryLM:
             raise ValueError(f"memory has {len(mems.layers)} layers, model has {cfg.n_layers}")
         if mems.batch != batch:
             raise ValueError(f"memory batch {mems.batch} does not match tokens batch {batch}")
+        if stream and skip_mask is not None:
+            raise ValueError("a stream state runs every layer on every block; it takes no skip mask")
         if skip_mask is None:
             skip_mask = np.zeros(cfg.n_layers, dtype=bool)
         skip_mask = np.asarray(skip_mask, dtype=bool)
@@ -412,8 +403,9 @@ class MemoryLM:
         length = min(n_tokens, mems.block_len) if stream else n_tokens
         if n_tokens > length:
             recent = block_tags(mems.next_position - mems.mem_len, mems.mem_len)
-            if n_tokens % length or skip_mask.any() or any(not np.array_equal(lm.tags, recent) for lm in mems.layers):
-                raise ValueError("a stream takes several blocks per call only as whole blocks over full memory, unskipped")
+            full = all(np.array_equal(lm.tags, recent) for lm in mems.layers)
+            if n_tokens % length or n_tokens > mems.blocks * length or not full:
+                raise ValueError(f"a stream call holds up to {mems.blocks} whole blocks, several only over full memory")
 
         h = ad.index_rows(self.embedding, tokens.reshape(batch, -1, length) if stream else tokens)
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
@@ -435,14 +427,12 @@ class MemoryLM:
 
             layer_input = h
             key = (length, (lm.tags - mems.next_position).tobytes())
-            if key not in layouts:
-                if key in kept:
-                    layouts[key] = kept.pop(key)
-                else:
-                    kept.clear()  # free a stream's previous layout before building this one
-                    offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
-                    layouts[key] = _Layout(offsets, encode_offsets(offsets, cfg.d_model))
-            layout = layouts[key]
+            layout = layouts.get(key) or kept.pop(key, None)
+            if layout is None:
+                kept.clear()  # a stream's previous layout goes before this one is built
+                offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
+                layout = _Layout(offsets, encode_offsets(offsets, cfg.d_model))
+            layouts[key] = layout
             if record is not None:
                 record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=layout.offsets))
 
@@ -459,7 +449,8 @@ class MemoryLM:
                 keys = ad.concat([ad.linear(rows, attn_params.w_ke), keys], axis=1)
                 values = ad.concat([ad.linear(rows, attn_params.w_v), values], axis=1)
             prune_i = prune[i] if prune is not None else None
-            grids = layout.score_grids(h.shape[:-2], cfg.n_heads, cfg.dtype) if stream else None
+            shape = (*h.shape[:-2], cfg.n_heads, *layout.offsets.shape)  # [B, S, H, L, K]
+            grids = tuple(g[:math.prod(shape)].reshape(shape) for g in mems.grids) if stream else None
             attn = multi_head_forward(x_n, keys, values, layout.enc, attn_params, layout.positions[i], prune_i, grids)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)

@@ -52,8 +52,12 @@ class TrainConfig:
         for name in ("steps", "batch_size", "eval_interval", "eval_block", "window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        for name in ("base_lr", "clip_norm", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.cosine_max_iters is not None and self.cosine_max_iters < 1:
             raise ValueError(f"cosine_max_iters must be positive, got {self.cosine_max_iters}")
         if self.eval_context < self.eval_block:
@@ -106,15 +110,17 @@ def evaluate(
     The memory is a ``StreamState``: from call to call it carries each
     layer's projected keys and values of the newest rows and the current tag
     layout's offset encoding and position keys, which cannot change while
-    the parameters are fixed, in arrays it owns and rewrites in place with
-    the score-grid buffers. It lives for this call only.
+    the parameters are fixed. ``StreamState.fresh`` sizes its key/value
+    stores and score-grid buffers for S blocks per call up front, and the
+    calls rewrite them in place. It lives for this evaluation only.
 
     Once the memory is full, one ``MemoryLM.forward`` call runs a chunk of
     S whole blocks, the most whose attention scores fit in ``EVAL_SCORES``
-    entries, and at least one. Blocks whose memory is still filling, and a
-    short last block, run one per call. The call's per-token NLLs are taken
-    in one pass over its logits; each block's mean is summed block by block,
-    so the result does not depend on S.
+    entries and that the split holds, and at least one. Blocks whose memory
+    is still filling, and a short last block, run one per call. The call's
+    per-token NLLs are taken in one pass over its logits (``ad.token_nll``);
+    each block's mean is summed block by block, so the result does not
+    depend on S.
 
     Deterministic: no skipping, no head resampling, no dropout.
     """
@@ -134,19 +140,15 @@ def evaluate(
         raise ValueError("every layer needs at least one unpruned head to report perplexity")
 
     mem_len = eval_context - eval_block
-    mems = StreamState.fresh(model.config, 1, mem_len, eval_block)
-    chunk = max(1, EVAL_SCORES // (model.config.n_heads * eval_block * eval_context))
+    chunk = max(1, min(EVAL_SCORES // (model.config.n_heads * eval_block * eval_context), n_scored // eval_block))
+    mems = StreamState.fresh(model.config, 1, mem_len, eval_block, chunk)
     total, start = 0.0, 0
     with ad.no_grad():
         while start < n_scored:
             blocks = min(chunk if start >= mem_len else 1, (n_scored - start) // eval_block)
             stop = start + blocks * eval_block if blocks else n_scored
             logits, mems = model.forward(ids[start:stop][None, :], mems, prune=prune)
-            # per-token NLL [S * L, 1] in ad.cross_entropy's arithmetic and order
-            x = logits.data[0]
-            shift = np.max(x, axis=-1, keepdims=True)
-            token_nll = np.log(np.exp(x - shift).sum(axis=-1, keepdims=True)) + shift
-            token_nll -= np.take_along_axis(x, ids[start + 1 : stop + 1, None], axis=-1)
+            token_nll, _, _ = ad.token_nll(logits.data[0], ids[start + 1 : stop + 1])  # [S * L, 1]
             for a in range(0, stop - start, eval_block):
                 block = token_nll[a : a + eval_block]
                 total += float(block.mean()) * len(block)

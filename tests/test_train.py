@@ -2,6 +2,7 @@ import importlib
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -275,14 +276,14 @@ class TestStreamingEvaluation:
 
     def test_stream_takes_several_blocks_only_over_full_memory(self):
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
-        stream = StreamState.fresh(model.config, 1, 4, 4)
+        stream = StreamState.fresh(model.config, 1, 4, 4, blocks=2)
         ids = make_ids(12)[None, :]
         with ad.no_grad():
             with pytest.raises(ValueError, match="whole blocks"):
                 model.forward(ids[:, :8], stream)  # the memory is still empty
             model.forward(ids[:, :4], stream)
-            for tokens, mask in ((ids[:, 4:10], None), (ids[:, 4:12], [True, False])):
-                with pytest.raises(ValueError, match="whole blocks"):
+            for tokens, mask, message in ((ids[:, 4:10], None, "whole blocks"), (ids[:, 4:12], [True, False], "skip")):
+                with pytest.raises(ValueError, match=message):
                     model.forward(tokens, stream, skip_mask=mask)
             assert stream.next_position == 4
             logits, _ = model.forward(ids[:, 4:12], stream)
@@ -362,8 +363,8 @@ def stream_calls(model, ids, stream, length):
 
 class TestStreamBuffers:
     """A stream owns the arrays it rewrites every block: each layer's key and
-    value stores and, per tag layout, one pair of score grids that its layers
-    share. Once the layout stops changing, no call allocates either again."""
+    value stores and one pair of score-grid buffers that every layer and tag
+    layout views. StreamState.fresh allocates them; no call allocates either."""
 
     CONTEXT, BLOCK = 1024, 16  # a [1, 1, 2, 16, 1024] grid is 256 KiB, four of numpy's 64 KiB ufunc buffers
 
@@ -374,26 +375,65 @@ class TestStreamBuffers:
         stream_calls(model, ids[:, : self.CONTEXT], stream, self.BLOCK)  # the last of these reads a full memory
         return model, stream, ids[:, self.CONTEXT :]
 
-    def test_steady_calls_allocate_no_score_grid(self):
-        """Four calls, two of which compact the stores, peak below one grid;
-        grids allocated afresh would put the peak at two grids or more."""
-        model, stream, ids = self.full_stream()
-        grid_bytes = model.config.n_heads * self.BLOCK * self.CONTEXT * 8
+    def peak_in_grids(self, model, ids, stream):
+        """tracemalloc's peak over one-block calls, in [1, 1, H, BLOCK, CONTEXT] grids."""
         tracemalloc.start()
         try:
             stream_calls(model, ids, stream, self.BLOCK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < grid_bytes
+        return peak / (model.config.n_heads * self.BLOCK * self.CONTEXT * 8)
+
+    def test_steady_calls_allocate_no_score_grid(self):
+        """Four calls, two of which compact the stores, peak below one grid;
+        grids allocated afresh would put the peak at two grids or more."""
+        model, stream, ids = self.full_stream()
+        assert self.peak_in_grids(model, ids, stream) < 1
+
+    def test_fill_calls_allocate_no_score_grid(self):
+        """The calls over a filling memory, each with a new tag layout, view
+        the grid buffers that fresh allocated, and peak below one grid. Eight
+        one-wide heads make a grid outweigh a layout's offsets, encodings and
+        position keys, which each new layout does allocate."""
+        model = MemoryLM(tiny_config(n_heads=8, d_head=1), RngHub(0)["init"])
+        stream = StreamState.fresh(model.config, 1, self.CONTEXT - self.BLOCK, self.BLOCK)
+        assert self.peak_in_grids(model, make_ids(self.CONTEXT)[None, :], stream) < 1
+
+    def test_a_new_layout_is_built_after_the_previous_one_is_freed(self, monkeypatch):
+        """A layout's encodings and position keys can outweigh a grid pair, so
+        a filling stream drops its previous layout before encoding the next."""
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        stream = StreamState.fresh(model.config, 1, 12, 4)
+        ids = make_ids(8)[None, :]
+        encode, alive = model_module.encode_offsets, []
+        stream_calls(model, ids[:, :4], stream, 4)
+        previous = weakref.ref(next(iter(stream.layouts.values())))
+
+        def watching(*args):
+            alive.append(previous() is not None)
+            return encode(*args)
+
+        monkeypatch.setattr(model_module, "encode_offsets", watching)
+        stream_calls(model, ids[:, 4:], stream, 4)
+        assert alive == [False]
+
+    def test_refuses_a_skip_mask_and_more_blocks_than_it_was_sized_for(self):
+        model, stream, ids = self.full_stream()
+        with ad.no_grad():
+            with pytest.raises(ValueError, match="skip mask"):
+                model.forward(ids[:, : self.BLOCK], stream, skip_mask=[False, False])
+            with pytest.raises(ValueError, match="up to 1 whole blocks"):
+                model.forward(ids[:, : 2 * self.BLOCK], stream)
+        assert stream.next_position == self.CONTEXT
 
     def test_consecutive_calls_reuse_the_same_buffers(self):
         model, stream, ids = self.full_stream()
         (layout,) = stream.layouts.values()
-        grids, stores = list(layout.grids), [(lm.keys, lm.values) for lm in stream.layers]
+        grids, stores = stream.grids, [(lm.keys, lm.values) for lm in stream.layers]
         stream_calls(model, ids, stream, self.BLOCK)
         assert list(stream.layouts.values()) == [layout]
-        assert all(a is b for a, b in zip(layout.grids, grids))
+        assert all(a is b for a, b in zip(stream.grids, grids))
         for lm, (keys, values) in zip(stream.layers, stores):
             assert lm.keys is keys and lm.values is values
 
@@ -678,6 +718,10 @@ class TestTrainHelper:
             TrainConfig(steps=5, eval_context=4, eval_block=8)
         with pytest.raises(ValueError, match="base_lr"):
             TrainConfig(steps=5, base_lr=0.0)
+        for key, bad in (("clip_norm", 0.0), ("clip_norm", -1.0), ("adam_beta1", 1.5), ("adam_beta1", 1.0),
+                         ("adam_beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", -1.0)):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(steps=5, **{key: bad})
         with pytest.raises(ValueError, match="steps"):
             TrainConfig(steps=0)
 
