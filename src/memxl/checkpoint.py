@@ -64,6 +64,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if len(blob) < 12:
         raise ValueError(f"{path} is truncated: {len(blob)} bytes, shorter than the header length field")
     (header_len,) = struct.unpack("<Q", blob[4:12])
+    if len(blob) < 12 + header_len:
+        raise ValueError(f"{path} is truncated: {len(blob)} bytes, shorter than its {header_len}-byte header")
     header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     if header.get("version") != VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('version')}")

@@ -8,13 +8,14 @@ a step, in which case it passes its input through unchanged and keeps its
 cache as-is, growing the relative offsets its next update will see.
 
 Streaming evaluation runs under fixed parameters, so it caches each
-layer's projected keys and values instead of the raw rows (``StreamState``).
+layer's projected keys and values instead of the raw rows, and its position
+keys, built once (``StreamState``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -111,12 +112,6 @@ def named_fields(params, prefix: str) -> list[tuple[str, Tensor]]:
     return out
 
 
-def _newest_tags(tags: np.ndarray, step_tags, mem_len: int) -> np.ndarray:
-    """Tags of the newest ``mem_len`` rows of (``tags`` ++ ``step_tags``)."""
-    both = np.concatenate([tags, np.asarray(step_tags, dtype=np.int64)])
-    return both[max(0, len(both) - mem_len):]
-
-
 @dataclass
 class LayerMemory:
     """Cached input activations of one layer with their positions.
@@ -132,9 +127,9 @@ class LayerMemory:
     def advanced(self, x, step_tags, mem_len: int) -> "LayerMemory":
         """The newest ``mem_len`` rows of (buffer ++ detached ``x``)."""
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        tags = _newest_tags(self.tags, step_tags, mem_len)
-        buffer = np.concatenate([self.buffer, data], axis=1)
-        return LayerMemory(buffer=buffer[:, buffer.shape[1] - len(tags):, :], tags=tags)
+        tags = np.concatenate([self.tags, np.asarray(step_tags, dtype=np.int64)])
+        keep = max(0, len(tags) - mem_len)
+        return LayerMemory(buffer=np.concatenate([self.buffer, data], axis=1)[:, keep:], tags=tags[keep:])
 
 
 @dataclass
@@ -166,22 +161,24 @@ class MemoryState:
 @dataclass
 class StreamLayer:
     """One layer's memory in a stream: the projected keys and values of its
-    newest rows, rows <= mem_len, which are the rows just before ``stop`` of
-    two [B, capacity, H * d_h] stores that the layer owns, sized by
-    ``StreamState.fresh`` to hold the memory and the largest call after it.
+    newest rows, rows <= mem_len, just before ``stop`` in two stores that
+    ``StreamState.fresh`` sizes for the memory and the largest call after
+    it, and the layer's position keys of the stream's offset encoding.
 
     ``extend`` writes a call's keys and values after them, in place, and
     hands each block of the call its window as a view, valid until the next
-    ``extend``; ``advanced`` then keeps the newest ``mem_len`` rows by their
-    tags alone. A call whose rows do not fit after ``stop`` first moves the
-    kept rows to the front of the stores (``_compact``).
+    ``extend``; ``advanced`` then keeps the newest ``mem_len`` rows, whose
+    tags are contiguous, so their count stands for them. A call whose rows
+    do not fit after ``stop`` first moves the kept rows to the front of the
+    stores (``_compact``).
     """
 
-    keys: np.ndarray    # store, [B, capacity, H * d_h]
-    values: np.ndarray  # store, [B, capacity, H * d_h]
-    tags: np.ndarray    # [rows] absolute positions
+    keys: np.ndarray       # store, [B, capacity, H * d_h]
+    values: np.ndarray     # store, [B, capacity, H * d_h]
+    positions: np.ndarray  # [1, n, H * d_h], offsets n - 1 .. 0
+    rows: int = 0
     staleness: int = 0
-    stop: int = 0       # the kept rows are the stores' rows stop - rows .. stop - 1
+    stop: int = 0          # the kept rows are the stores' rows stop - rows .. stop - 1
 
     def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         """Keys and values of each of the call's [B, S, L, H * d_h] blocks
@@ -189,7 +186,7 @@ class StreamLayer:
         windows. For S > 1 the memory must be full, so that every block's
         memory is the ``rows`` rows just before it."""
         batch, segments, length, width = keys.shape
-        rows, new = len(self.tags), segments * length
+        rows, new = self.rows, segments * length
         if self.stop + new > self.keys.shape[1]:
             self._compact(rows)
         first, self.stop = self.stop - rows, self.stop + new
@@ -217,65 +214,52 @@ class StreamLayer:
     def advanced(self, x, step_tags, mem_len: int) -> "StreamLayer":
         """Keep the newest ``mem_len`` of the rows ``extend`` left; ``x`` is
         not read, since the call's keys and values are already projected."""
-        self.tags, self.staleness = _newest_tags(self.tags, step_tags, mem_len), 0
+        self.rows, self.staleness = min(mem_len, self.rows + len(step_tags)), 0
         return self
-
-
-@dataclass
-class _Layout:
-    """The offsets that one cache-tag layout gives a block, their encoding,
-    and each layer's [1, n, H * d_h] position keys of that encoding."""
-
-    offsets: np.ndarray  # [L, K]
-    enc: OffsetEncodings
-    positions: dict[int, Tensor] = field(default_factory=dict)
 
 
 @dataclass
 class StreamState:
     """Memory for streaming evaluation: what stays fixed from block to block
-    while the parameters do.
-
-    ``fresh`` allocates the arrays a stream rewrites, once: each layer's
-    projected memory keys and values (``StreamLayer``), and one pair of flat
-    buffers whose fronts every layer and layout uses as the attention core's
-    score grids. ``layouts`` holds the current block's tag layout with its
-    offset encoding and each layer's position keys. The state is only valid
-    while the parameters do not change, so ``MemoryLM.forward`` takes it
-    under ``no_grad`` only, and advances it in place. A call passes one block
-    of at most ``block_len`` tokens, or, once every layer's memory holds the
-    ``mem_len`` rows just before it, up to ``blocks`` whole blocks. Every
-    layer runs on every block, so the tags are contiguous and a layout's n
-    position offsets are its K keys: both grids are [B, S, H, L, K].
+    while the parameters do. ``fresh`` builds it once: each layer's key and
+    value stores and position keys (``StreamLayer``), the offset encoding,
+    and one pair of flat buffers whose fronts every layer uses as the
+    attention core's score grids. It is valid only while the parameters do
+    not change, so ``MemoryLM.forward`` takes it under ``no_grad`` only, and
+    advances it in place, by one block of at most ``block_len`` tokens or,
+    once every layer holds ``mem_len`` rows, up to ``blocks`` whole blocks.
+    Every layer runs on every block, so L queries over ``rows`` memory rows
+    read n = rows + L contiguous keys at offsets n - 1 .. 0, the tails of
+    ``enc`` and of each layer's position keys, and [B, S, H, L, n] grids.
     """
 
     layers: list[StreamLayer]
     mem_len: int
     block_len: int
     blocks: int                       # S, the most whole blocks per call
+    enc: OffsetEncodings              # offsets 0 .. mem_len + block_len - 1
     grids: tuple[np.ndarray, ...]     # flat, B * S * H * block_len * (mem_len + block_len) entries each
     next_position: int = 0
-    layouts: dict[tuple, _Layout] = field(default_factory=dict)
 
     @property
     def batch(self) -> int:
         return self.layers[0].keys.shape[0]
 
     @staticmethod
-    def fresh(config: "ModelConfig", batch: int, mem_len: int, block_len: int, blocks: int = 1) -> "StreamState":
+    def fresh(model: "MemoryLM", batch: int, mem_len: int, block_len: int, blocks: int = 1) -> "StreamState":
+        config, n = model.config, mem_len + block_len
         # one-block streams compact every other block, chunked ones on every full call
         shape = (batch, mem_len + max(2, blocks) * block_len, config.n_heads * config.d_head)
-        grid = batch * blocks * config.n_heads * block_len * (mem_len + block_len)
-        return StreamState(
-            layers=[
-                StreamLayer(np.empty(shape, config.dtype), np.empty(shape, config.dtype), np.zeros(0, dtype=np.int64))
-                for _ in range(config.n_layers)
-            ],
-            mem_len=mem_len,
-            block_len=block_len,
-            blocks=blocks,
-            grids=(np.empty(grid, config.dtype), np.empty(grid, config.dtype)),
-        )
+        grid = batch * blocks * config.n_heads * block_len * n
+        enc = encode_offsets(np.arange(n - 1, -1, -1)[None], config.d_model)  # one query, keys at n - 1 .. 0
+        with ad.no_grad():
+            layers = [
+                StreamLayer(np.empty(shape, config.dtype), np.empty(shape, config.dtype),
+                            position_keys(enc, lp.attn.w_kr).data)
+                for lp in model.layers
+            ]
+        grids = (np.empty(grid, config.dtype), np.empty(grid, config.dtype))
+        return StreamState(layers, mem_len, block_len, blocks, enc, grids)
 
 
 def update_memory(mem, x, skipped: bool, step_tags: np.ndarray, mem_len: int):
@@ -369,11 +353,11 @@ class MemoryLM:
         state. A ``StreamState`` holds projections of the current
         parameters through each layer's own heads, so it is accepted only
         under ``no_grad``, with no crossed heads and no skip mask; the call
-        advances it in place and returns it. Under a full stream, ``tokens``
-        may hold up to the stream's S whole blocks, [B, S * L]: each layer
-        runs over them as one [B, S, L] stack, since a block's memory is the
-        layer below's output over the rows before it, which the call has
-        already computed.
+        encodes and projects no position, and advances it in place and
+        returns it. Under a full stream, ``tokens`` may hold up to the
+        stream's S whole blocks, [B, S * L]: each layer runs over them as
+        one [B, S, L] stack, since a block's memory is the layer below's
+        output over the rows before it, which the call has already computed.
         """
         cfg = self.config
         stream = isinstance(mems, StreamState)
@@ -402,21 +386,18 @@ class MemoryLM:
         prune = self._check_prune(prune)
         length = min(n_tokens, mems.block_len) if stream else n_tokens
         if n_tokens > length:
-            recent = block_tags(mems.next_position - mems.mem_len, mems.mem_len)
-            full = all(np.array_equal(lm.tags, recent) for lm in mems.layers)
+            full = all(lm.rows == mems.mem_len for lm in mems.layers)
             if n_tokens % length or n_tokens > mems.blocks * length or not full:
                 raise ValueError(f"a stream call holds up to {mems.blocks} whole blocks, several only over full memory")
 
         h = ad.index_rows(self.embedding, tokens.reshape(batch, -1, length) if stream else tokens)
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
         tags = block_tags(mems.next_position, n_tokens)
-        q_tags = tags[:length]  # the first block's; every block of a call shares its layout
+        q_tags = tags[:length]  # the first block's; every block of a call shares its offsets
 
-        # One entry per tag layout, keyed on the block length and the cache
-        # tags relative to the block; layers whose caches hold the same tags
-        # share it, and a stream keeps the current block's for the next.
-        kept = mems.layouts if stream else {}
-        layouts: dict[tuple, _Layout] = {}
+        # training: one offset matrix and encoding per layout of cache tags
+        # relative to the block, shared by the layers whose caches hold it
+        layouts: dict[bytes, tuple[np.ndarray, OffsetEncodings]] = {}
         new_layers = []
         for i, (lp, lm) in enumerate(zip(self.layers, mems.layers)):
             if skip_mask[i]:
@@ -426,19 +407,25 @@ class MemoryLM:
                 continue
 
             layer_input = h
-            key = (length, (lm.tags - mems.next_position).tobytes())
-            layout = layouts.get(key) or kept.pop(key, None)
-            if layout is None:
-                kept.clear()  # a stream's previous layout goes before this one is built
-                offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
-                layout = _Layout(offsets, encode_offsets(offsets, cfg.d_model))
-            layouts[key] = layout
-            if record is not None:
-                record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=layout.offsets))
-
             attn_params = lp.attn.crossed(assignments[i] if assignments is not None else None)
-            if i not in layout.positions:
-                layout.positions[i] = position_keys(layout.enc, attn_params.w_kr)
+            grids = None
+            if stream:  # n contiguous keys at offsets n - 1 .. 0: the tails of what fresh built
+                n = lm.rows + length
+                enc = OffsetEncodings(mems.enc.offsets[:n], mems.enc.vectors[-n:], [(0, n, 0)])
+                positions = Tensor(lm.positions[:, -n:])
+                offsets = None if record is None else relative_offsets(q_tags, block_tags(q_tags[0] - lm.rows, n))
+                shape = (*h.shape[:-2], cfg.n_heads, length, n)  # [B, S, H, L, n]
+                grids = tuple(g[:math.prod(shape)].reshape(shape) for g in mems.grids)
+            else:
+                key = (lm.tags - mems.next_position).tobytes()
+                if key not in layouts:
+                    offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
+                    layouts[key] = offsets, encode_offsets(offsets, cfg.d_model)
+                offsets, enc = layouts[key]
+                positions = position_keys(enc, attn_params.w_kr)
+            if record is not None:
+                record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=offsets))
+
             x_n = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
             keys, values = ad.linear(x_n, attn_params.w_ke), ad.linear(x_n, attn_params.w_v)
             # the layer attends to its memory's rows followed by the block's
@@ -449,9 +436,7 @@ class MemoryLM:
                 keys = ad.concat([ad.linear(rows, attn_params.w_ke), keys], axis=1)
                 values = ad.concat([ad.linear(rows, attn_params.w_v), values], axis=1)
             prune_i = prune[i] if prune is not None else None
-            shape = (*h.shape[:-2], cfg.n_heads, *layout.offsets.shape)  # [B, S, H, L, K]
-            grids = tuple(g[:math.prod(shape)].reshape(shape) for g in mems.grids) if stream else None
-            attn = multi_head_forward(x_n, keys, values, layout.enc, attn_params, layout.positions[i], prune_i, grids)
+            attn = multi_head_forward(x_n, keys, values, enc, attn_params, positions, prune_i, grids)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 
@@ -468,7 +453,7 @@ class MemoryLM:
         logits = ad.linear(final, self.embedding)  # tied weights: the transposed embedding table
 
         if stream:
-            mems.layers, mems.layouts, mems.next_position = new_layers, layouts, mems.next_position + n_tokens
+            mems.layers, mems.next_position = new_layers, mems.next_position + n_tokens
             return Tensor(logits.data.reshape(batch, n_tokens, -1)), mems
         return logits, MemoryState(layers=new_layers, mem_len=mems.mem_len, next_position=mems.next_position + n_tokens)
 

@@ -106,8 +106,14 @@ def sample_skip_mask(
     return rng.random(n_layers) < probs
 
 
+def _check_mem_len(mem_len: int) -> None:
+    if mem_len < 0:
+        raise ValueError(f"mem_len must be nonnegative, got {mem_len}")
+
+
 def expected_context_exact(schedule: SkipSchedule, n_layers: int, mem_len: int) -> float:
     """Expected extra context in tokens: sum over layers of p_skip * 2M."""
+    _check_mem_len(mem_len)
     return float(sum(p_skip(schedule, i, n_layers) * 2.0 * mem_len for i in range(1, n_layers + 1)))
 
 
@@ -115,6 +121,7 @@ def expected_context_approx(n_layers: int, mem_len: int) -> float:
     """Closed-form estimate M(N-3)/2 for the depth-ramped schedule."""
     if n_layers < 1:
         raise ValueError(f"layer count must be positive, got {n_layers}")
+    _check_mem_len(mem_len)
     return mem_len * (n_layers - 3) / 2.0
 
 
@@ -128,6 +135,7 @@ def simulate_expected_context(
     """Monte-Carlo mean and standard error of the per-step context gain."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
+    _check_mem_len(mem_len)
     probs = schedule_probabilities(schedule, n_layers)
     draws = rng.random((samples, n_layers)) < probs[None, :]
     gains = draws.sum(axis=1) * 2.0 * mem_len
@@ -160,7 +168,7 @@ class PhaseController:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError(f"window must be positive, got {self.window}")
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # a NaN threshold would never fire
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.phase not in (PHASE_SKIP_RETAIN, PHASE_VANILLA):
             raise ValueError(f"unknown phase {self.phase!r}")

@@ -52,7 +52,7 @@ class TrainConfig:
         for name in ("steps", "batch_size", "eval_interval", "eval_block", "window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("base_lr", "clip_norm", "adam_eps"):
+        for name in ("base_lr", "clip_norm", "adam_eps", "threshold"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -108,11 +108,12 @@ def evaluate(
     ``eval_context - eval_block`` and average NLL over every scored token.
 
     The memory is a ``StreamState``: from call to call it carries each
-    layer's projected keys and values of the newest rows and the current tag
-    layout's offset encoding and position keys, which cannot change while
-    the parameters are fixed. ``StreamState.fresh`` sizes its key/value
-    stores and score-grid buffers for S blocks per call up front, and the
-    calls rewrite them in place. It lives for this evaluation only.
+    layer's projected keys and values of the newest rows, which cannot
+    change while the parameters are fixed. ``StreamState.fresh`` encodes the
+    full memory's offsets and projects each layer's position keys once, of
+    which every call reads a tail, and sizes the key/value stores and
+    score-grid buffers for S blocks per call up front, which the calls
+    rewrite in place. It lives for this evaluation only.
 
     Once the memory is full, one ``MemoryLM.forward`` call runs a chunk of
     S whole blocks, the most whose attention scores fit in ``EVAL_SCORES``
@@ -141,7 +142,7 @@ def evaluate(
 
     mem_len = eval_context - eval_block
     chunk = max(1, min(EVAL_SCORES // (model.config.n_heads * eval_block * eval_context), n_scored // eval_block))
-    mems = StreamState.fresh(model.config, 1, mem_len, eval_block, chunk)
+    mems = StreamState.fresh(model, 1, mem_len, eval_block, chunk)
     total, start = 0.0, 0
     with ad.no_grad():
         while start < n_scored:

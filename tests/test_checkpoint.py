@@ -60,13 +60,15 @@ class TestFormatGuards:
             load_checkpoint(path)
 
     def test_file_cut_anywhere_is_rejected(self, tmp_path):
-        """Inside the length field, the header, the first array or the last."""
+        """Inside the length field, just after it, inside the header, at the
+        header's last byte, in the first array or the last."""
         path = tmp_path / "cut.ckpt"
         save_checkpoint(path, {"a": 1}, {"x": np.ones(10), "y": np.arange(3)})
         blob = path.read_bytes()
-        for size in (8, 20, len(blob) - 100, len(blob) - 1):
+        header_end = 12 + int.from_bytes(blob[4:12], "little")
+        for size in (8, 12, 20, header_end - 1, len(blob) - 100, len(blob) - 1):
             path.write_bytes(blob[:size])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="truncated"):
                 load_checkpoint(path)
 
     def test_magic_is_stable(self, tmp_path):

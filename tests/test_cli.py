@@ -228,6 +228,11 @@ class TestContext:
         # 4 unprotected layers x 0.25 x 2M = 16
         assert "16.0000" in capsys.readouterr().out
 
+    def test_negative_memory_fails_cleanly(self, capsys):
+        rc = main(["context", "--layers", "4", "--mem", "-5"])
+        assert rc == 1
+        assert "mem_len must be nonnegative" in capsys.readouterr().err
+
     def test_invalid_schedule_fails_cleanly(self, capsys):
         rc = main(["context", "--schedule", "linear", "--p", "0.5", "--layers", "4", "--mem", "8"])
         assert rc == 1

@@ -113,6 +113,13 @@ class TestExpectedContext:
         with pytest.raises(ValueError):
             skip.simulate_expected_context(SkipSchedule.linear(), 4, 8, 1, np.random.default_rng(0))
 
+    def test_negative_memory_is_refused(self):
+        linear = SkipSchedule.linear()
+        for fn in (lambda: skip.expected_context_exact(linear, 4, -5), lambda: skip.expected_context_approx(4, -5),
+                   lambda: skip.simulate_expected_context(linear, 4, -5, 10, np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="mem_len must be nonnegative"):
+                fn()
+
 
 class TestPhaseController:
     def test_transitions_when_improvement_stalls(self):
@@ -191,7 +198,8 @@ class TestPhaseController:
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseController(window=0, threshold=0.2)
-        with pytest.raises(ValueError):
-            PhaseController(window=5, threshold=0.0)
+        for bad in (0.0, float("nan")):  # a NaN threshold would never fire
+            with pytest.raises(ValueError, match="threshold"):
+                PhaseController(window=5, threshold=bad)
         with pytest.raises(ValueError):
             PhaseController(window=5, threshold=0.2, phase="warmup")

@@ -2,7 +2,6 @@ import importlib
 import math
 import re
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -146,13 +145,17 @@ class TestStreamingEvaluation:
         got = evaluate(model, ids, context, block, prune=prune).nll
         assert got == reference_nll(model, ids, context, block, prune)
 
-    def test_one_token_blocks_match_to_rounding(self):
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_one_token_blocks_match_to_rounding(self, block):
         """A one-row projection runs as a matrix-vector product, which rounds
         differently from the matrix product that projects the same row as
-        memory, so only the summation bound n * eps * nll holds here."""
+        memory; and a call over n <= 3 keys reads n rows of position keys
+        that the stream projected among mem_len + L, where the plain loop
+        projects n alone, through BLAS's small-matrix kernel. So only the
+        summation bound n * eps * nll holds for small blocks."""
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
         ids = make_ids(21)
-        got, want = evaluate(model, ids, 4, 1).nll, reference_nll(model, ids, 4, 1)
+        got, want = evaluate(model, ids, 4, block).nll, reference_nll(model, ids, 4, block)
         assert abs(got - want) <= 20 * np.finfo(np.float64).eps * want
 
     def test_trained_model_matches_plain_forward_loop(self, trained_lm):
@@ -184,24 +187,23 @@ class TestStreamingEvaluation:
 
     def test_stream_state_refused_while_recording_gradients(self):
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
-        stream = StreamState.fresh(model.config, 1, 4, 4)
+        stream = StreamState.fresh(model, 1, 4, 4)
         with pytest.raises(RuntimeError, match="no_grad"):
             model.forward(np.array([[1, 2, 3, 4]]), stream)
         with ad.no_grad():
             _, advanced = model.forward(np.array([[1, 2, 3, 4]]), stream)
-        assert advanced is stream and stream.next_position == 4
-        np.testing.assert_array_equal(stream.layers[0].tags, [0, 1, 2, 3])
+        assert advanced is stream and stream.next_position == 4 and stream.layers[0].rows == 4
 
     def test_stream_state_refuses_crossed_heads(self):
         """A stream caches keys projected by each layer's own heads, which a
         crossed block's keys would not match."""
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
-        stream = StreamState.fresh(model.config, 1, 4, 4)
+        stream = StreamState.fresh(model, 1, 4, 4)
         crossed = [HeadAssignment.identity(2), HeadAssignment(np.array([1, 0]), cross_active=True)]
         with ad.no_grad():
             with pytest.raises(ValueError, match="crossed"):
                 model.forward(np.array([[1, 2, 3, 4]]), stream, assignments=crossed)
-            assert stream.next_position == 0 and len(stream.layers[1].tags) == 0
+            assert stream.next_position == 0 and stream.layers[1].rows == 0
             model.forward(np.array([[1, 2, 3, 4]]), stream, assignments=[HeadAssignment.identity(2)] * 2)
         assert stream.next_position == 4
 
@@ -210,8 +212,8 @@ class TestStreamingEvaluation:
         fills, then S whole blocks per call, then the short last block alone.
         Per call, update_memory once per layer with ``skipped`` as its third
         positional argument and a result with ``.staleness``; encode_offsets,
-        looked up on memxl.model, once per change of tag layout, returning
-        ``.offsets``; no ad.cross_entropy, whose span would otherwise count
+        looked up on memxl.model, once per evaluation, in StreamState.fresh,
+        returning ``.offsets``; no ad.cross_entropy, whose span would otherwise count
         evaluation's scoring as training's. At eval_long's shape S is 1: one
         forward per block."""
         calls = {"forward": [], "update": [], "encode": 0, "attention": 0, "cross_entropy": 0}
@@ -259,7 +261,7 @@ class TestStreamingEvaluation:
         assert calls["forward"] == [4, 4, 4, 12, 12, 12, 8, 2]
         assert calls["update"] == [(False, 0)] * (3 * len(calls["forward"]))
         assert calls["attention"] == 3 * len(calls["forward"])
-        assert calls["encode"] == 5  # memory of 0, 4, 8 and 12 rows, then the short last block
+        assert calls["encode"] == 1  # every call reads a tail of the full memory's encoding
         assert calls["cross_entropy"] == 0
 
         # eval_long's model and split: d128, 4 heads, context 640, 40 blocks of 64
@@ -276,7 +278,7 @@ class TestStreamingEvaluation:
 
     def test_stream_takes_several_blocks_only_over_full_memory(self):
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
-        stream = StreamState.fresh(model.config, 1, 4, 4, blocks=2)
+        stream = StreamState.fresh(model, 1, 4, 4, blocks=2)
         ids = make_ids(12)[None, :]
         with ad.no_grad():
             with pytest.raises(ValueError, match="whole blocks"):
@@ -287,8 +289,23 @@ class TestStreamingEvaluation:
                     model.forward(tokens, stream, skip_mask=mask)
             assert stream.next_position == 4
             logits, _ = model.forward(ids[:, 4:12], stream)
-        assert logits.shape == (1, 8, 11) and stream.next_position == 12
-        np.testing.assert_array_equal(stream.layers[1].tags, [8, 9, 10, 11])
+        assert logits.shape == (1, 8, 11) and stream.next_position == 12 and stream.layers[1].rows == 4
+
+    def test_record_matches_a_memory_state(self):
+        """A stream keeps a row count, not tags, yet its LayerTrace offsets
+        are those of a MemoryState through fill, full and short last calls."""
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        stream, mems = StreamState.fresh(model, 1, 8, 4), model.init_memory(batch=1, mem_len=8)
+        ids = make_ids(18)[None, :]
+        with ad.no_grad():
+            for a in range(0, 18, 4):  # memory of 0, 4, 8, 8 and 8 rows; the last call holds 2 tokens
+                got, want = [], []
+                model.forward(ids[:, a : a + 4], stream, record=got)
+                _, mems = model.forward(ids[:, a : a + 4], mems, record=want)
+                for g, w in zip(got, want, strict=True):
+                    assert (g.layer, g.skipped, g.staleness) == (w.layer, w.skipped, w.staleness)
+                    np.testing.assert_array_equal(g.offsets, w.offsets)
+        assert got[0].offsets.shape == (2, 10)
 
 
 CHUNKS = pytest.mark.parametrize("segments", [1, 2, 3, 10**6], ids=["S1", "S2", "S3", "whole_split"])
@@ -362,15 +379,16 @@ def stream_calls(model, ids, stream, length):
 
 
 class TestStreamBuffers:
-    """A stream owns the arrays it rewrites every block: each layer's key and
-    value stores and one pair of score-grid buffers that every layer and tag
-    layout views. StreamState.fresh allocates them; no call allocates either."""
+    """A stream owns the arrays it reads or rewrites every block: each
+    layer's key and value stores and position keys, the offset encoding, and
+    one pair of score-grid buffers that every layer views. StreamState.fresh
+    allocates them; no call allocates any of them."""
 
     CONTEXT, BLOCK = 1024, 16  # a [1, 1, 2, 16, 1024] grid is 256 KiB, four of numpy's 64 KiB ufunc buffers
 
     def full_stream(self):
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
-        stream = StreamState.fresh(model.config, 1, self.CONTEXT - self.BLOCK, self.BLOCK)
+        stream = StreamState.fresh(model, 1, self.CONTEXT - self.BLOCK, self.BLOCK)
         ids = make_ids(self.CONTEXT + 4 * self.BLOCK)[None, :]
         stream_calls(model, ids[:, : self.CONTEXT], stream, self.BLOCK)  # the last of these reads a full memory
         return model, stream, ids[:, self.CONTEXT :]
@@ -392,31 +410,25 @@ class TestStreamBuffers:
         assert self.peak_in_grids(model, ids, stream) < 1
 
     def test_fill_calls_allocate_no_score_grid(self):
-        """The calls over a filling memory, each with a new tag layout, view
-        the grid buffers that fresh allocated, and peak below one grid. Eight
-        one-wide heads make a grid outweigh a layout's offsets, encodings and
-        position keys, which each new layout does allocate."""
+        """The calls over a filling memory, each over more keys than the one
+        before, view the grid buffers that fresh allocated, and peak below
+        one grid. Eight one-wide heads make a grid outweigh the offsets,
+        encodings and position keys that a call used to build."""
         model = MemoryLM(tiny_config(n_heads=8, d_head=1), RngHub(0)["init"])
-        stream = StreamState.fresh(model.config, 1, self.CONTEXT - self.BLOCK, self.BLOCK)
+        stream = StreamState.fresh(model, 1, self.CONTEXT - self.BLOCK, self.BLOCK)
         assert self.peak_in_grids(model, make_ids(self.CONTEXT)[None, :], stream) < 1
 
-    def test_a_new_layout_is_built_after_the_previous_one_is_freed(self, monkeypatch):
-        """A layout's encodings and position keys can outweigh a grid pair, so
-        a filling stream drops its previous layout before encoding the next."""
+    def test_fill_and_steady_calls_encode_and_project_no_position(self, monkeypatch):
+        """fresh encodes the full memory's offsets and projects each layer's
+        position keys; the calls over a filling, then full memory read tails
+        of them and call neither encode_offsets nor position_keys."""
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
-        stream = StreamState.fresh(model.config, 1, 12, 4)
-        ids = make_ids(8)[None, :]
-        encode, alive = model_module.encode_offsets, []
-        stream_calls(model, ids[:, :4], stream, 4)
-        previous = weakref.ref(next(iter(stream.layouts.values())))
-
-        def watching(*args):
-            alive.append(previous() is not None)
-            return encode(*args)
-
-        monkeypatch.setattr(model_module, "encode_offsets", watching)
-        stream_calls(model, ids[:, 4:], stream, 4)
-        assert alive == [False]
+        stream = StreamState.fresh(model, 1, 12, 4)
+        calls = []
+        for name in ("encode_offsets", "position_keys"):
+            monkeypatch.setattr(model_module, name, lambda *args, name=name: calls.append(name))
+        stream_calls(model, make_ids(28)[None, :], stream, 4)
+        assert calls == [] and stream.next_position == 28 and stream.layers[0].rows == 12
 
     def test_refuses_a_skip_mask_and_more_blocks_than_it_was_sized_for(self):
         model, stream, ids = self.full_stream()
@@ -429,20 +441,19 @@ class TestStreamBuffers:
 
     def test_consecutive_calls_reuse_the_same_buffers(self):
         model, stream, ids = self.full_stream()
-        (layout,) = stream.layouts.values()
-        grids, stores = stream.grids, [(lm.keys, lm.values) for lm in stream.layers]
+        enc, grids = stream.enc, stream.grids
+        stores = [(lm.keys, lm.values, lm.positions) for lm in stream.layers]
         stream_calls(model, ids, stream, self.BLOCK)
-        assert list(stream.layouts.values()) == [layout]
-        assert all(a is b for a, b in zip(stream.grids, grids))
-        for lm, (keys, values) in zip(stream.layers, stores):
-            assert lm.keys is keys and lm.values is values
+        assert stream.enc is enc and all(a is b for a, b in zip(stream.grids, grids))
+        for lm, (keys, values, positions) in zip(stream.layers, stores):
+            assert lm.keys is keys and lm.values is values and lm.positions is positions
 
     def test_batch_of_two_compacts_its_stores_row_by_row(self):
         """Each stream row keeps its own rows through the compactions that
         move them to the front of the stores, bit for bit as a plain loop."""
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
         ids = np.stack([make_ids(41, seed=1), make_ids(41, seed=2)])
-        stream = StreamState.fresh(model.config, 2, 8, 4)
+        stream = StreamState.fresh(model, 2, 8, 4)
         stops = []
         with ad.no_grad():
             mems = model.init_memory(batch=2, mem_len=8)
@@ -719,7 +730,8 @@ class TestTrainHelper:
         with pytest.raises(ValueError, match="base_lr"):
             TrainConfig(steps=5, base_lr=0.0)
         for key, bad in (("clip_norm", 0.0), ("clip_norm", -1.0), ("adam_beta1", 1.5), ("adam_beta1", 1.0),
-                         ("adam_beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", -1.0)):
+                         ("adam_beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", -1.0),
+                         ("threshold", math.nan), ("threshold", 0.0)):
             with pytest.raises(ValueError, match=key):
                 TrainConfig(steps=5, **{key: bad})
         with pytest.raises(ValueError, match="steps"):
