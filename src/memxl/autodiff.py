@@ -8,6 +8,10 @@ accepted for faster training runs.
 Contract notes:
   * ``backward`` may run once per recorded graph; the caller zeroes
     grads between steps. Afterwards only the loss and the leaves hold grads.
+  * A leaf with a ``grad_buffer`` (an optimizer-registered parameter: its
+    view of ``AdamState.grad``) accumulates its grad there, in place, and its
+    ``grad`` is that view. The next step overwrites it and clipping scales it
+    in place, so a caller that keeps a grad must copy it.
   * ``Tensor.detach`` is a stop-gradient boundary: nothing behind it
     ever accumulates grad.
 """
@@ -57,7 +61,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """N-dimensional real array participating in a reverse-mode gradient graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_backward_done")
+    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_parents", "_vjp", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -65,6 +69,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
+        self.grad_buffer: np.ndarray | None = None  # where backward writes this leaf's grad, if set
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
@@ -161,9 +166,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    normed = centered / std
 
     def vjp(g):
+        normed = (x.data - x.data.mean(axis=-1, keepdims=True)) / std  # the forward's rows, rebuilt, not kept
         gx = None  # no input gradient for rows that take none, such as cached memory
         if x.requires_grad:
             gn = g * gain.data
@@ -172,7 +177,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         lead = tuple(range(g.ndim - 1))
         return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
 
-    return _make(normed * gain.data + bias.data, (x, gain, bias), vjp)
+    return _make(centered / std * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -258,25 +263,28 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         raise RuntimeError("attention score grids are reused from call to call; pass them under no_grad only")
     pos_grid, key_grid = (None, None) if grids is None else grids
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
-    qu, qv = qh + u.data, qh + v.data
-    shifted = _relative_shift(np.matmul(qv, ph.swapaxes(-1, -2), out=pos_grid), length, span)
-    p = np.matmul(qu, kh.swapaxes(-1, -2), out=key_grid)
+    shifted = _relative_shift(np.matmul(qh + v.data, ph.swapaxes(-1, -2), out=pos_grid), length, span)
+    p = np.matmul(qh + u.data, kh.swapaxes(-1, -2), out=key_grid)
     for a, b, c in layout.runs:
         p[..., a:b] += shifted[..., c:c + b - a]
     p *= scale
     np.copyto(p[..., n_keys - length:], -np.inf, where=np.triu(np.ones((length, length), bool), 1))
     peak = p.max(axis=-1, keepdims=True)
-    if not np.isfinite(peak).all() and not np.isfinite(p).any(axis=-1).all():
-        raise RuntimeError("attention row with no attendable key; a token always attends to itself")
+    if not np.isfinite(peak).all():  # a row's max is -inf only when every score in it is
+        if np.isneginf(peak[~np.isfinite(peak)]).all():
+            raise RuntimeError("attention row with no attendable key; a token always attends to itself")
+        raise RuntimeError("non-finite scores in attention (NaN or +inf)")
     p -= peak
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = np.matmul(p, vh)
+    out = merge(np.matmul(p, vh))
 
+    # the VJP keeps p and rebuilds q + u and q + v; it reads the head outputs
+    # through a head view of the node's own merged output
     def vjp(g):
         g = heads(g)
         ds = np.matmul(g, vh.swapaxes(-1, -2))
-        ds -= np.sum(g * out, axis=-1, keepdims=True)
+        ds -= np.sum(g * heads(out), axis=-1, keepdims=True)
         ds *= p
         ds *= scale
         # L - 1 padding columns keep the future slots' zeros off the real ones
@@ -289,14 +297,14 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         gqv = np.matmul(gpos, ph)
         return (
             merge(gqu + gqv),
-            merge(_unbroadcast(np.matmul(ds.swapaxes(-1, -2), qu), kh.shape)),
+            merge(_unbroadcast(np.matmul(ds.swapaxes(-1, -2), qh + u.data), kh.shape)),
             merge(_unbroadcast(np.matmul(p.swapaxes(-1, -2), g), vh.shape)),
-            merge(_unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qv), ph.shape)),
+            merge(_unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qh + v.data), ph.shape)),
             _unbroadcast(gqu, u.shape),
             _unbroadcast(gqv, v.shape),
         )
 
-    return _make(merge(out), (q, keys, values, positions, u, v), vjp)
+    return _make(out, (q, keys, values, positions, u, v), vjp)
 
 
 def token_nll(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,8 +354,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
 def backward(loss: Tensor) -> None:
     """Populate grads of the leaves (such as parameters) reachable from the
     scalar ``loss``. The loss keeps its grad; an intermediate node's grad is
-    dropped once its VJP has run. One invocation per recorded graph; a
-    second call on the same loss is rejected.
+    dropped once its VJP has run. A leaf with a ``grad_buffer`` gets its
+    first contribution copied there and later ones added in place. One
+    invocation per recorded graph; a second call on the same loss is rejected.
     """
     if loss.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -379,7 +388,13 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node._parents, node._vjp(node.grad)):
             if not parent.requires_grad or pg is None:
                 continue
-            parent.grad = pg if parent.grad is None else parent.grad + pg
+            if parent.grad_buffer is None:  # a VJP's arrays may alias each other, so never add into one
+                parent.grad = pg if parent.grad is None else parent.grad + pg
+            elif parent.grad is None:
+                parent.grad = parent.grad_buffer
+                parent.grad[...] = pg
+            else:
+                parent.grad = np.add(parent.grad, pg, out=parent.grad_buffer)
         if node is not loss:
             node.grad = None
     loss._backward_done = True

@@ -125,11 +125,13 @@ class LayerMemory:
     staleness: int = 0
 
     def advanced(self, x, step_tags, mem_len: int) -> "LayerMemory":
-        """The newest ``mem_len`` rows of (buffer ++ detached ``x``)."""
+        """The newest ``mem_len`` rows of (buffer ++ detached ``x``), joined
+        from the kept tails alone, so no dropped row stays alive."""
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
         tags = np.concatenate([self.tags, np.asarray(step_tags, dtype=np.int64)])
-        keep = max(0, len(tags) - mem_len)
-        return LayerMemory(buffer=np.concatenate([self.buffer, data], axis=1)[:, keep:], tags=tags[keep:])
+        drop, rows = max(0, len(tags) - mem_len), self.buffer.shape[1]
+        buffer = np.concatenate([self.buffer[:, drop:], data[:, max(0, drop - rows):]], axis=1)
+        return LayerMemory(buffer=buffer, tags=tags[drop:])
 
 
 @dataclass

@@ -43,7 +43,10 @@ class AdamState:
     ``params`` and rebinds each parameter's ``data`` to its C-contiguous view
     there. The moments ``m`` and ``v`` and the gradient buffer ``grad`` are
     flat arrays of the same layout; ``table`` lists ``(name, tensor, view)``
-    and ``grads`` each parameter's view of ``grad``.
+    and ``grads`` each parameter's view of ``grad``. Each such view becomes
+    its parameter's ``grad_buffer``, so ``backward`` accumulates straight into
+    ``grad`` and binds the view to ``p.grad``: a caller that keeps a grad past
+    the next step or clip must copy it.
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]]):
@@ -60,6 +63,8 @@ class AdamState:
             p.data = view
             self.table.append((name, p, view))
         self.grads = self.views(self.grad)
+        for (_, p, _), g in zip(self.table, self.grads):
+            p.grad_buffer = g
         self.scratch = np.empty((2, min(CHUNK, self.params.size)), self.params.dtype)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -71,13 +76,16 @@ class AdamState:
         return out
 
     def gather_grads(self) -> np.ndarray:
-        """Copy every parameter's grad into ``grad``, a missing one as 0, and
-        return it. A parameter whose ``data`` is no longer its arena view
+        """Fill ``grad`` and return it. ``backward`` has already written each
+        parameter's grad into its view, so this only zero-fills a parameter
+        with no grad (such as a skipped layer's) and copies one bound to some
+        other array. A parameter whose ``data`` is no longer its arena view
         would train a detached copy, so it is refused."""
         for (name, p, view), g in zip(self.table, self.grads):
             if p.data is not view:
                 raise RuntimeError(f"parameter {name!r} was rebound away from the optimizer's arena")
-            g[...] = 0 if p.grad is None else p.grad
+            if p.grad is not g:
+                g[...] = 0 if p.grad is None else p.grad
         return self.grad
 
 

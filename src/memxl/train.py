@@ -229,28 +229,30 @@ class Trainer:
         ]
         inputs, targets = self.batches.step(self.step)
 
-        logits, new_mems = model.forward(
-            inputs,
-            self.mems,
-            skip_mask=mask,
-            assignments=assignments,
-            training=True,
-            dropout_rng=self.hub["dropout"],
-        )
+        try:  # non-finite scores stop the forward before the loss can go NaN
+            logits, new_mems = model.forward(
+                inputs,
+                self.mems,
+                skip_mask=mask,
+                assignments=assignments,
+                training=True,
+                dropout_rng=self.hub["dropout"],
+            )
+        except RuntimeError as err:
+            self._abort(f"{err} at step {self.step}")
         loss = ad.cross_entropy(logits, targets)
         nll = float(loss.data)
         if not math.isfinite(nll):
-            note = ""
-            if self.checkpoint_path is not None:
-                diag = str(self.checkpoint_path) + ".diag"
-                self.save(diag)
-                note = f"; diagnostic checkpoint at {diag}"
-            raise RuntimeError(f"non-finite training loss ({nll}) at step {self.step}{note}")
+            self._abort(f"non-finite training loss ({nll}) at step {self.step}")
 
         for _, p, _ in self.adam.table:
             p.grad = None
         ad.backward(loss)
         grad_norm = clip_global_norm(self.adam.gather_grads(), cfg.clip_norm)
+        if not math.isfinite(grad_norm):  # clipping scaled the buffer, but inf * 0 is NaN: the bad entries stay
+            bad = [name for (name, _, _), g in zip(self.adam.table, self.adam.grads) if not np.isfinite(g).all()]
+            where = f"in {', '.join(bad)}" if bad else "with every entry finite: the sum of squares overflowed"
+            self._abort(f"non-finite gradient norm ({grad_norm}) at step {self.step} {where}")
         lr = cosine_lr(self.step, cfg.base_lr, cfg.max_iters)
         adam_update(self.adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
@@ -268,6 +270,15 @@ class Trainer:
             with open(self.log_path, "a") as f:
                 f.write(row.line() + "\n")
         return row
+
+    def _abort(self, message: str) -> None:
+        """Raise ``message``, first saving the trainer beside the checkpoint as
+        ``.diag``; the failed step has not touched its arena, moments or memory."""
+        if self.checkpoint_path is not None:
+            diag = str(self.checkpoint_path) + ".diag"
+            self.save(diag)
+            message += f"; diagnostic checkpoint at {diag}"
+        raise RuntimeError(message)
 
     def run(self, until: int | None = None) -> None:
         target = self.cfg.steps if until is None else until

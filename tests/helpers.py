@@ -14,6 +14,18 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
+def reachable(loss: Tensor, requires_grad_only: bool = False) -> list[Tensor]:
+    """``loss`` and every node reachable from it through ``_parents``; with
+    ``requires_grad_only``, only through parents that require grad."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if (parent.requires_grad or not requires_grad_only) and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
 def split_heads(rows: np.ndarray, d_head: int) -> np.ndarray:
     """[B, T, H * d_h] rows as [B, H, T, d_h] heads, one column slice per head."""
     return np.stack(np.split(rows, rows.shape[-1] // d_head, axis=-1), axis=1)

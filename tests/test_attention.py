@@ -246,6 +246,16 @@ class TestScores:
         with pytest.raises(RuntimeError, match="no attendable key"):
             ad.attention_core(q, keys, keys, keys, zero, zero, enc)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_scores_rejected(self, bad):
+        """A NaN or +inf score is named as such, not as a row with no key."""
+        q = ad.Tensor(np.array([[0.5, 0.5], [bad, 0.0]])[None])
+        keys = ad.Tensor(np.array([[1.0, 0.0], [1.0, 0.0]])[None])
+        zero = ad.Tensor(np.zeros(2))
+        enc = encode_offsets(relative_offsets(np.arange(2), np.arange(2)), 4)
+        with pytest.raises(RuntimeError, match="non-finite scores"):
+            ad.attention_core(q, keys, keys, keys, zero, zero, enc)
+
     def test_rows_sum_to_one_with_large_scores(self, rng):
         params = make_params(rng)
         x = ad.Tensor(rng.standard_normal((1, 4, 6)) * 200.0 + 1e4)

@@ -626,6 +626,20 @@ class TestGraphMechanics:
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [5.0])
 
+    def test_leaf_with_a_grad_buffer_accumulates_there(self):
+        """The first contribution is copied into the buffer and later ones
+        added in place; ``add`` hands the same array to both parents, and
+        the parent without a buffer keeps it unchanged."""
+        x, y = ad.Tensor(np.array([2.0, -1.0]), requires_grad=True), ad.Tensor(np.zeros(2), requires_grad=True)
+        x.grad_buffer = buffer = np.full(2, np.nan)
+        ad.backward(sum_(ad.add(ad.add(x, y), ad.mul(x, x))))
+        assert x.grad is buffer
+        np.testing.assert_array_equal(buffer, [5.0, -1.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        ad.backward(sum_(ad.mul(x, x)))  # no reset: the second graph's grads add on
+        assert x.grad is buffer
+        np.testing.assert_array_equal(buffer, [9.0, -3.0])
+
     def test_detach_stops_gradient(self):
         x = ad.Tensor(np.array([3.0]), requires_grad=True)
         frozen = x.detach()

@@ -4,6 +4,7 @@ import pytest
 import memxl.autodiff as ad
 import memxl.model as model_module
 from conftest import tiny_config
+from helpers import reachable
 from memxl import MemoryLM, RngHub, relpos
 from memxl.attention import HeadAssignment
 from memxl.model import LayerMemory, LayerTrace, MemoryState, update_memory
@@ -64,6 +65,16 @@ class TestUpdateMemory:
         out = update_memory(empty, x, skipped=False, step_tags=np.array([0, 1]), mem_len=6)
         assert out.buffer.shape == (1, 2, 2)
         np.testing.assert_array_equal(out.tags, [0, 1])
+
+    def test_executed_step_holds_only_the_rows_it_keeps(self):
+        """The new buffer owns exactly the kept rows: no view of a longer
+        joined array that would keep the dropped rows alive."""
+        x = np.full((1, 3, 2), 9.0)
+        for mem_len in (4, 2):
+            out = update_memory(self.mem, x, skipped=False, step_tags=np.array([4, 5, 6]), mem_len=mem_len)
+            want = np.concatenate([self.mem.buffer, x], axis=1)[:, -mem_len:]
+            assert out.buffer.base is None and out.buffer.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(out.tags, np.arange(7)[-mem_len:])
 
     def test_detaches_tensor_input(self):
         x = ad.Tensor(np.ones((1, 2, 2)), requires_grad=True)
@@ -269,13 +280,23 @@ class TestStaleCacheGradient:
 def graph_size(loss) -> int:
     """Tensors ``backward`` visits: ``loss`` and every ancestor that requires
     grad, parameters included (the benchmark's ``autodiff.nodes_per_step`` rule)."""
-    seen, stack = {id(loss)}, [loss]
-    while stack:
-        for parent in stack.pop()._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    return len(seen)
+    return len(reachable(loss, requires_grad_only=True))
+
+
+def held_bytes(loss) -> int:
+    """Bytes a recorded graph keeps alive: the distinct arrays reached from
+    ``loss`` through ``_parents``, as each node's ``data`` and as the arrays
+    in its VJP's closure cells, each counted once by the array that owns its
+    memory (a view counts as its base)."""
+    owners = {}
+    for node in reachable(loss):
+        cells = node._vjp.__closure__ or () if node._vjp is not None else ()
+        for a in [node.data, *(c.cell_contents for c in cells)]:
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                owners[id(a)] = a.nbytes
+    return sum(owners.values())
 
 
 class TestGraphSize:
@@ -292,6 +313,21 @@ class TestGraphSize:
         sigma = HeadAssignment(np.array([1, 0]), cross_active=True) if crossed else HeadAssignment.identity(2)
         logits, _ = model.forward(tokens[1], mems, assignments=[sigma] * 2, training=True)
         assert graph_size(ad.cross_entropy(logits, tokens[2])) == want
+
+    def test_recorded_step_holds_no_array_it_can_rebuild(self):
+        """A crossed step over a full memory holds 43,624 bytes. A VJP that
+        kept its attention's q + u, q + v or head outputs, or its layer
+        norm's normalised rows, would hold more, as would a memory buffer
+        that viewed its joined rows (51,304 bytes with all of these)."""
+        model = fresh_model()
+        tokens = np.random.default_rng(0).integers(0, model.config.vocab_size, size=(4, 2, 4))
+        mems = model.init_memory(2)
+        with ad.no_grad():
+            for block in tokens[:2]:
+                _, mems = model.forward(block, mems)
+        sigma = HeadAssignment(np.array([1, 0]), cross_active=True)
+        logits, _ = model.forward(tokens[2], mems, assignments=[sigma] * 2, training=True)
+        assert held_bytes(ad.cross_entropy(logits, tokens[3])) == 43_624
 
 
 class TestStopGradient:

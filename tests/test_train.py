@@ -1,3 +1,4 @@
+import copy
 import importlib
 import math
 import re
@@ -9,11 +10,13 @@ import pytest
 import memxl.autodiff as ad
 import memxl.model as model_module
 from conftest import PANGRAM_TEXT, tiny_config
+from helpers import reachable
 from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule, TrainConfig, Trainer, train
 from memxl.attention import HeadAssignment
 from memxl.checkpoint import load_checkpoint, save_checkpoint
 from memxl.data import batchify, corpus_from_text
 from memxl.model import StreamState
+from memxl.optim import AdamState
 from memxl.skip import PHASE_SKIP_RETAIN, PHASE_VANILLA
 from memxl.train import LOG_HEADER, EvalReport, evaluate, load_model, save_model
 
@@ -577,6 +580,57 @@ class TestTrainerLoop:
             trainer.run()
         assert (tmp_path / "run.ckpt.diag").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_scores_abort_with_diagnostic(self, tmp_path):
+        """A NaN key weight stops the forward at its scores, before any loss;
+        the step still leaves a diagnostic checkpoint."""
+        trainer = quick_trainer(steps=4)
+        trainer.checkpoint_path = str(tmp_path / "run.ckpt")
+        trainer.model.layers[0].attn.w_ke.data[0, 0] = np.nan
+        with pytest.raises(RuntimeError, match=r"non-finite scores in attention .* at step 0; diagnostic checkpoint"):
+            trainer.run()
+        assert (tmp_path / "run.ckpt.diag").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad, where",
+        [
+            (np.inf, r"in layers\.0\.w_ff1"),
+            (np.nan, r"in layers\.0\.w_ff1"),
+            (1e200, "with every entry finite: the sum of squares overflowed"),
+        ],
+        ids=["inf", "nan", "overflow"],
+    )
+    def test_nonfinite_gradient_stops_before_the_arena(self, tmp_path, monkeypatch, bad, where):
+        """One poisoned gradient entry raises a named error before Adam: the
+        arena, moments, step count, memory and log stay as they were, the
+        periodic checkpoint is not rewritten, and the diagnostic one holds
+        the state before the step. A finite entry whose square overflows the
+        norm is reported as such, since no parameter holds a bad entry."""
+        trainer = quick_trainer(steps=4)
+        trainer.checkpoint_path, trainer.checkpoint_every = str(tmp_path / "run.ckpt"), 1
+        trainer.run(until=2)
+        adam, mems = trainer.adam, trainer.mems
+        before = [a.tobytes() for a in (adam.params, adam.m, adam.v)], adam.t, len(trainer.log)
+        checkpoint = (tmp_path / "run.ckpt").read_bytes()
+        backward = ad.backward
+
+        def poisoned(loss):
+            backward(loss)
+            trainer.model.layers[0].w_ff1.grad[1, 2] = bad
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(RuntimeError, match=rf"non-finite gradient norm \((inf|nan)\) at step 2 {where};"):
+            trainer.run()
+        assert ([a.tobytes() for a in (adam.params, adam.m, adam.v)], adam.t, len(trainer.log)) == before
+        assert trainer.mems is mems and trainer.step == 2
+        assert (tmp_path / "run.ckpt").read_bytes() == checkpoint
+        diag = Trainer.load(tmp_path / "run.ckpt.diag", trainer.batches)
+        assert [a.tobytes() for a in (diag.adam.params, diag.adam.m, diag.adam.v)] == before[0]
+        assert diag.adam.t == adam.t and diag.step == 2
+        for lm, want in zip(diag.mems.layers, mems.layers):
+            assert lm.buffer.tobytes() == want.buffer.tobytes() and lm.tags.tobytes() == want.tags.tobytes()
+
     def test_transition_recorded_once_and_phase_switches(self):
         # threshold so large the controller fires at the first eligible eval
         trainer = quick_trainer(
@@ -591,6 +645,60 @@ class TestTrainerLoop:
         assert phases[ts - 1] == PHASE_SKIP_RETAIN
         assert all(p == PHASE_SKIP_RETAIN for p in phases[:ts])
         assert all(p == PHASE_VANILLA for p in phases[ts:])
+
+
+class TestGradientArena:
+    """``backward`` writes each registered parameter's grad into its view of
+    the optimizer's gradient buffer; the values are those of a model with no
+    optimizer, bit for bit."""
+
+    @staticmethod
+    def stale_step(model, mems, skip):
+        """Record one step of a three-layer model: layer 0 crossed over its
+        stale cache, layer 1 skipped when ``skip``, layer 2 plain."""
+        tokens = np.random.default_rng(7).integers(0, model.config.vocab_size, size=(2, 2, 4))
+        sigma = [HeadAssignment(np.array([1, 0]), True), HeadAssignment.identity(2), HeadAssignment.identity(2)]
+        logits, _ = model.forward(tokens[0], mems, skip_mask=[False, skip, False], assignments=sigma, training=True)
+        return ad.cross_entropy(logits, tokens[1])
+
+    @pytest.fixture
+    def case(self):
+        model = MemoryLM(tiny_config(n_layers=3), RngHub(0)["init"])
+        mems = model.init_memory(2)
+        tokens = np.random.default_rng(3).integers(0, 11, size=(2, 2, 4))
+        with ad.no_grad():
+            _, mems = model.forward(tokens[0], mems)
+            _, mems = model.forward(tokens[1], mems, skip_mask=[True, False, False])
+        assert [lm.staleness for lm in mems.layers] == [1, 0, 0]
+        twin = copy.deepcopy(model)
+        return model, twin, mems, AdamState(model.named_parameters())
+
+    def test_arena_grads_equal_a_plain_models(self, case):
+        model, twin, mems, adam = case
+        ad.backward(self.stale_step(model, mems, skip=False))  # every view now holds a gradient
+        model.zero_grad()
+        ad.backward(self.stale_step(model, mems, skip=True))
+        ad.backward(self.stale_step(twin, mems, skip=True))
+        adam.gather_grads()
+        skipped = 0
+        for (name, p, _), view, (_, q) in zip(adam.table, adam.grads, twin.named_parameters()):
+            if q.grad is None:  # layer 1's: zero-filled over the first step's values
+                assert name.startswith("layers.1.") and p.grad is None and not view.any()
+                skipped += 1
+            else:
+                assert p.grad is view and view.tobytes() == q.grad.tobytes(), name
+        assert skipped == 15
+        w_ke = model.layers[2].attn.w_ke  # its grad is the memory rows' contribution plus the block's
+        assert sum(n._parents.count(w_ke) for n in reachable(self.stale_step(model, mems, skip=True))) == 2
+
+    def test_two_backward_calls_sum(self, case):
+        model, twin, mems, adam = case
+        for m in (model, twin):
+            for skip in (False, True):
+                ad.backward(self.stale_step(m, mems, skip))
+        adam.gather_grads()
+        for (name, p, _), view, (_, q) in zip(adam.table, adam.grads, twin.named_parameters()):
+            assert p.grad is view and view.tobytes() == q.grad.tobytes(), name
 
 
 class TestPersistence:
