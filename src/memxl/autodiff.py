@@ -6,8 +6,15 @@ default so finite-difference verification has headroom; float32 is
 accepted for faster training runs.
 
 Contract notes:
+  * A leaf (a parameter or a constant) is its own graph node. A recorded
+    op's output is a ``Tensor`` whose ``Node`` holds its parents' nodes, its
+    VJP and its incoming grad, not its value; a VJP captures the arrays and
+    shapes it reads, never an input ``Tensor``. So an output's array lives
+    only while its ``Tensor`` or a VJP that read it does.
   * ``backward`` may run once per recorded graph; the caller zeroes
-    grads between steps. Afterwards only the loss and the leaves hold grads.
+    grads between steps. It drops each VJP, and the arrays only it kept,
+    once it has run: the graph can still be walked through ``_parents``
+    but holds no VJPs, and only the loss and the leaves hold grads.
   * A leaf with a ``grad_buffer`` (an optimizer-registered parameter: its
     view of ``AdamState.grad``) accumulates its grad there, in place, and its
     ``grad`` is that view. The next step overwrites it and clipping scales it
@@ -58,10 +65,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """N-dimensional real array participating in a reverse-mode gradient graph."""
+class Node:
+    """A recorded op in the graph: its parents' nodes, its VJP (None once
+    ``backward`` has run it) and, during ``backward``, its grad; no value."""
 
-    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_parents", "_vjp", "_backward_done")
+    __slots__ = ("_parents", "_vjp", "grad")
+    requires_grad, grad_buffer = True, None
+
+    def __init__(self, parents: tuple, vjp: Callable[[np.ndarray], tuple]):
+        self._parents, self._vjp, self.grad = parents, vjp, None
+
+
+class Tensor:
+    """N-dimensional real array participating in a reverse-mode gradient
+    graph: a leaf is its own node, a recorded op's output has a ``_node``."""
+
+    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -71,9 +90,11 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.grad_buffer: np.ndarray | None = None  # where backward writes this leaf's grad, if set
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
-        self._backward_done = False
+        self._node: Node | None = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,35 +124,40 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires)
-    if requires:
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    out = Tensor(data)
+    if _grad_enabled and any([p.requires_grad for p in parents]):
+        out.requires_grad = True
+        out._node = Node(tuple([p._node or p for p in parents]), vjp)  # a leaf is its own node
     return out
 
 
 # -- primitive operations -----------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    a_shape, b_shape = a.data.shape, b.data.shape
+
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(a.data + b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+    a_data, b_data = a.data, b.data
 
-    return _make(a.data * b.data, (a, b), vjp)
+    def vjp(g):
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
+
+    return _make(a_data * b_data, (a, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g * (a.data > 0),)
+    out = np.maximum(a.data, 0)
 
-    return _make(np.maximum(a.data, 0), (a,), vjp)
+    def vjp(g):  # out > 0 exactly where a > 0, NaN and -0 included
+        return (g * (out > 0),)
+
+    return _make(out, (a,), vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -147,10 +173,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def index_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """out = table[ids]; backward scatter-adds into the indexed rows."""
-    ids = np.asarray(ids)
+    ids, shape = np.asarray(ids), table.data.shape
 
     def vjp(g):
-        gt = np.zeros(table.shape, dtype=g.dtype)
+        gt = np.zeros(shape, dtype=g.dtype)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -164,20 +190,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    rows, weight, x_grad = x.data, gain.data, x.requires_grad
+    centered = rows - rows.mean(axis=-1, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
 
     def vjp(g):
-        normed = (x.data - x.data.mean(axis=-1, keepdims=True)) / std  # the forward's rows, rebuilt, not kept
+        normed = (rows - rows.mean(axis=-1, keepdims=True)) / std  # the forward's rows, rebuilt, not kept
         gx = None  # no input gradient for rows that take none, such as cached memory
-        if x.requires_grad:
-            gn = g * gain.data
+        if x_grad:
+            gn = g * weight
             gx = (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
         # gain and bias broadcast over every leading axis, so their grads sum over them
         lead = tuple(range(g.ndim - 1))
         return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
 
-    return _make(centered / std * gain.data + bias.data, (x, gain, bias), vjp)
+    return _make(centered / std * weight + bias.data, (x, gain, bias), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -192,16 +219,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     n_out = w2d.shape[0]
     if x.shape[-1] != n_in or (b is not None and b.shape != (n_out,)):
         raise ValueError(f"linear shape mismatch: rows {x.shape}, weight {w.shape}, bias {None if b is None else b.shape}")
-    rows = x.data
+    rows, x_grad, w_shape, has_bias = x.data, x.requires_grad, w.data.shape, b is not None
     out = np.matmul(rows.reshape(-1, n_in) if rows.ndim < 4 else rows.reshape(-1, *rows.shape[-2:]), w2d.T)
-    if b is not None:
+    if has_bias:
         out += b.data
 
     def vjp(g):
         g2d, x2d = g.reshape(-1, n_out), rows.reshape(-1, n_in)
-        gx = (g2d @ w2d).reshape(x.shape) if x.requires_grad else None  # none for constant rows
-        gw = (g2d.T @ x2d).reshape(w.shape)
-        return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
+        gx = (g2d @ w2d).reshape(rows.shape) if x_grad else None  # none for constant rows
+        gw = (g2d.T @ x2d).reshape(w_shape)
+        return (gx, gw, _unbroadcast(g, (n_out,))) if has_bias else (gx, gw)
 
     return _make(out.reshape(x.shape[:-1] + (n_out,)), (x, w) if b is None else (x, w, b), vjp)
 
@@ -255,17 +282,18 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         return split.swapaxes(-2, -3).reshape(split.shape[:-3] + (split.shape[-2], -1))
 
     qh, kh, vh, ph = (heads(x.data) for x in (q, keys, values, positions))
+    u_data, v_data, runs = u.data, v.data, layout.runs
     length, n_keys, span = qh.shape[-2], kh.shape[-2], ph.shape[-2]
-    first, last, _ = layout.runs[-1]
+    first, last, _ = runs[-1]
     if last != n_keys or last - first < length:
-        raise ValueError(f"encoding runs {layout.runs} do not match {length} queries by {n_keys} keys")
+        raise ValueError(f"encoding runs {runs} do not match {length} queries by {n_keys} keys")
     if grids is not None and _grad_enabled:
         raise RuntimeError("attention score grids are reused from call to call; pass them under no_grad only")
     pos_grid, key_grid = (None, None) if grids is None else grids
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
-    shifted = _relative_shift(np.matmul(qh + v.data, ph.swapaxes(-1, -2), out=pos_grid), length, span)
-    p = np.matmul(qh + u.data, kh.swapaxes(-1, -2), out=key_grid)
-    for a, b, c in layout.runs:
+    shifted = _relative_shift(np.matmul(qh + v_data, ph.swapaxes(-1, -2), out=pos_grid), length, span)
+    p = np.matmul(qh + u_data, kh.swapaxes(-1, -2), out=key_grid)
+    for a, b, c in runs:
         p[..., a:b] += shifted[..., c:c + b - a]
     p *= scale
     np.copyto(p[..., n_keys - length:], -np.inf, where=np.triu(np.ones((length, length), bool), 1))
@@ -290,18 +318,18 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         # L - 1 padding columns keep the future slots' zeros off the real ones
         gpos = np.zeros(ds.shape[:-1] + (span + length - 1,), ds.dtype)
         gshift = _relative_shift(gpos, length, span)
-        for a, b, c in layout.runs:
+        for a, b, c in runs:
             gshift[..., c:c + b - a] = ds[..., a:b]
         gpos = gpos[..., :span]
         gqu = np.matmul(ds, kh)
         gqv = np.matmul(gpos, ph)
         return (
             merge(gqu + gqv),
-            merge(_unbroadcast(np.matmul(ds.swapaxes(-1, -2), qh + u.data), kh.shape)),
+            merge(_unbroadcast(np.matmul(ds.swapaxes(-1, -2), qh + u_data), kh.shape)),
             merge(_unbroadcast(np.matmul(p.swapaxes(-1, -2), g), vh.shape)),
-            merge(_unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qh + v.data), ph.shape)),
-            _unbroadcast(gqu, u.shape),
-            _unbroadcast(gqv, v.shape),
+            merge(_unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qh + v_data), ph.shape)),
+            _unbroadcast(gqu, u_data.shape),
+            _unbroadcast(gqv, v_data.shape),
         )
 
     return _make(out, (q, keys, values, positions, u, v), vjp)
@@ -353,21 +381,16 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
 
 def backward(loss: Tensor) -> None:
     """Populate grads of the leaves (such as parameters) reachable from the
-    scalar ``loss``. The loss keeps its grad; an intermediate node's grad is
-    dropped once its VJP has run. A leaf with a ``grad_buffer`` gets its
-    first contribution copied there and later ones added in place. One
-    invocation per recorded graph; a second call on the same loss is rejected.
-    """
+    scalar ``loss``, which keeps its grad; each node's grad and VJP are
+    dropped once the VJP has run. A leaf with a ``grad_buffer`` gets its
+    first contribution copied there and later ones added in place. A graph
+    that backward has already run through is rejected."""
     if loss.ndim != 0:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._backward_done:
-        raise RuntimeError("backward already ran on this graph; rebuild the graph before calling again")
-    if not loss.requires_grad:
+    if loss._node is None:
         raise RuntimeError("loss does not require grad: no graph was recorded")
 
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    topo, visited, stack = [], set(), [(loss._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -375,17 +398,20 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._vjp is None:
+            raise RuntimeError("backward already ran on this graph; rebuild the graph before calling again")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+            if type(parent) is Node and id(parent) not in visited:
                 stack.append((parent, False))
 
-    loss.grad = np.ones((), dtype=loss.dtype)
+    loss.grad = loss._node.grad = np.ones((), dtype=loss.dtype)
     for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
+        vjp, node._vjp = node._vjp, None  # frees what only this VJP kept once it has run
+        if node.grad is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(node.grad)):
+        for parent, pg in zip(node._parents, vjp(node.grad)):
             if not parent.requires_grad or pg is None:
                 continue
             if parent.grad_buffer is None:  # a VJP's arrays may alias each other, so never add into one
@@ -395,9 +421,7 @@ def backward(loss: Tensor) -> None:
                 parent.grad[...] = pg
             else:
                 parent.grad = np.add(parent.grad, pg, out=parent.grad_buffer)
-        if node is not loss:
-            node.grad = None
-    loss._backward_done = True
+        node.grad = None
 
 
 # -- finite-difference verification ---------------------------------------

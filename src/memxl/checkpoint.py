@@ -25,31 +25,33 @@ def _little_endian(arr: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    entries = []
-    blobs = []
-    offset = 0
+    """Write ``meta`` and ``arrays`` to ``path`` atomically: into a temporary
+    file beside it, fsynced, then renamed onto it, so a write that fails
+    leaves any earlier file at ``path`` as it was and no temporary file
+    behind. Each array is written from its own buffer (a copy only for one
+    that is not C-contiguous and little-endian)."""
+    arrays = {name: np.require(_little_endian(np.asarray(arr)), requirements="C") for name, arr in arrays.items()}
+    entries, offset = [], 0
     for name, arr in arrays.items():
-        # tobytes() yields C-order bytes for any layout, including 0-d
-        arr = _little_endian(np.asarray(arr))
-        raw = arr.tobytes()
-        entries.append(
-            {
-                "name": name,
-                "dtype": arr.dtype.str.replace("=", "<"),
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": len(raw),
-            }
-        )
-        blobs.append(raw)
-        offset += len(raw)
+        entries.append({"name": name, "dtype": arr.dtype.str.replace("=", "<"), "shape": list(arr.shape),
+                        "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
     header = json.dumps({"version": VERSION, "meta": meta, "arrays": entries}).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for raw in blobs:
-            f.write(raw)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(header)))
+            f.write(header)
+            for arr in arrays.values():
+                f.write(arr.reshape(-1).view(np.uint8))  # C-order bytes, 0-d included
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -222,6 +222,7 @@ class Trainer:
         mcfg = model.config
         phase = self.controller.phase
 
+        rng = self.hub.state_dict()  # before this step's draws, so that a .diag replays them
         mask = sample_skip_mask(cfg.schedule, mcfg.n_layers, self.hub["skip"], phase)
         assignments = [
             sample_head_assignment(self.hub["heads"], mcfg.beta, mcfg.n_heads)
@@ -239,11 +240,11 @@ class Trainer:
                 dropout_rng=self.hub["dropout"],
             )
         except RuntimeError as err:
-            self._abort(f"{err} at step {self.step}")
+            self._abort(f"{err} at step {self.step}", rng)
         loss = ad.cross_entropy(logits, targets)
         nll = float(loss.data)
         if not math.isfinite(nll):
-            self._abort(f"non-finite training loss ({nll}) at step {self.step}")
+            self._abort(f"non-finite training loss ({nll}) at step {self.step}", rng)
 
         for _, p, _ in self.adam.table:
             p.grad = None
@@ -252,7 +253,7 @@ class Trainer:
         if not math.isfinite(grad_norm):  # clipping scaled the buffer, but inf * 0 is NaN: the bad entries stay
             bad = [name for (name, _, _), g in zip(self.adam.table, self.adam.grads) if not np.isfinite(g).all()]
             where = f"in {', '.join(bad)}" if bad else "with every entry finite: the sum of squares overflowed"
-            self._abort(f"non-finite gradient norm ({grad_norm}) at step {self.step} {where}")
+            self._abort(f"non-finite gradient norm ({grad_norm}) at step {self.step} {where}", rng)
         lr = cosine_lr(self.step, cfg.base_lr, cfg.max_iters)
         adam_update(self.adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
@@ -271,12 +272,14 @@ class Trainer:
                 f.write(row.line() + "\n")
         return row
 
-    def _abort(self, message: str) -> None:
+    def _abort(self, message: str, rng: dict) -> None:
         """Raise ``message``, first saving the trainer beside the checkpoint as
-        ``.diag``; the failed step has not touched its arena, moments or memory."""
+        ``.diag``; the failed step has not touched its arena, moments or
+        memory, and ``rng`` holds the streams as they were before it drew, so
+        a trainer resumed from the ``.diag`` replays the step."""
         if self.checkpoint_path is not None:
             diag = str(self.checkpoint_path) + ".diag"
-            self.save(diag)
+            self.save(diag, rng)
             message += f"; diagnostic checkpoint at {diag}"
         raise RuntimeError(message)
 
@@ -293,7 +296,9 @@ class Trainer:
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, path) -> None:
+    def save(self, path, rng: dict | None = None) -> None:
+        """Write the trainer to ``path``; ``rng``, when given, is the
+        ``RngHub.state_dict`` to store in place of the hub's current one."""
         model = self.model
         meta = {
             "kind": "trainer",
@@ -301,7 +306,7 @@ class Trainer:
             "train_config": self.cfg.to_dict(),
             "step": self.step,
             "controller": self.controller.state_dict(),
-            "rng": self.hub.state_dict(),
+            "rng": self.hub.state_dict() if rng is None else rng,
             "adam_t": self.adam.t,
             "mem": {
                 "mem_len": self.mems.mem_len,

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import memxl.autodiff as ad
 from memxl import relpos
 
-from helpers import gather_attention, sum_
+from helpers import gather_attention, reachable, sum_
 
 
 def numeric_grad(loss_fn, arrays, index, step=1e-6):
@@ -435,7 +437,7 @@ class TestFused:
         grads = {}
         for live in (True, False):
             out = op(ad.Tensor(x_np, requires_grad=live), *(ad.Tensor(a, requires_grad=True) for a in arrays))
-            input_grad, *rest = out._vjp(np.random.default_rng(1).standard_normal(out.shape))
+            input_grad, *rest = out._node._vjp(np.random.default_rng(1).standard_normal(out.shape))
             assert (input_grad is not None) == live
             grads[live] = [r.tobytes() for r in rest]
         assert grads[True] == grads[False]
@@ -619,6 +621,31 @@ class TestGraphMechanics:
 
         for i, p in enumerate((x, w, b)):
             np.testing.assert_allclose(p.grad, numeric_grad(loss_fn, [x_np, w_np, b_np], i), atol=1e-6)
+
+    def test_backward_frees_each_vjp_once_it_has_run(self):
+        """VJPs run from the loss back, and each is dropped, with the arrays
+        only it captured, before the next one runs. Afterwards the graph
+        still walks from the loss to the leaf but holds no VJP."""
+        refs, seen = [], []
+
+        def op(a):
+            kept = np.full(3, 2.0)  # an array only this op's VJP holds
+            refs.append(weakref.ref(kept))
+
+            def vjp(g):
+                seen.append([r() is None for r in refs])
+                return (g * kept,)
+
+            return ad._make(a.data * kept, (a,), vjp)
+
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        loss = sum_(op(op(op(x))))
+        ad.backward(loss)
+        assert seen == [[False, False, False], [False, False, True], [False, True, True]]
+        assert [r() for r in refs] == [None] * 3
+        np.testing.assert_array_equal(x.grad, [8.0] * 3)
+        nodes = reachable(loss)
+        assert x in nodes and all(n._vjp is None for n in nodes if isinstance(n, ad.Node))
 
     def test_grad_accumulates_across_uses(self):
         x = ad.Tensor(np.array([2.0]), requires_grad=True)

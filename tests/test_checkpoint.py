@@ -1,8 +1,10 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import memxl.checkpoint as checkpoint
 from memxl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 
 
@@ -77,7 +79,64 @@ class TestFormatGuards:
         assert path.read_bytes()[:4] == MAGIC
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("fail", ["write", "fsync", "replace"])
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch, fail):
+        """A save that raises partway, on its first array's write, in the
+        fsync or in the rename, leaves the previous file byte-identical and
+        loadable, and no temporary file beside it."""
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(path, {"step": 1}, {"x": np.ones(5)})
+        before = path.read_bytes()
+
+        def injected(*args):
+            raise OSError("injected failure")
+
+        class CutAfterHeader:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:  # magic, header length, header, then the first array
+                    injected()
+                return self.f.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        if fail == "write":
+            monkeypatch.setattr(checkpoint, "open", lambda *a: CutAfterHeader(open(*a)), raising=False)
+        else:
+            monkeypatch.setattr(os, fail, injected)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(path, {"step": 2}, {"x": np.zeros(5), "y": np.arange(3)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[0] == {"step": 1}
+        assert os.listdir(tmp_path) == ["state.ckpt"]
+
+
 class TestMemory:
+    def test_save_copies_no_array(self, tmp_path, rng):
+        """Each array is written from its own buffer: a save allocates a small
+        fraction of the arrays' bytes, where a bytes copy of each made it all
+        of them."""
+        arrays = {f"a{i}": rng.standard_normal(20_000) for i in range(8)}
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "big.ckpt", {}, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * sum(a.nbytes for a in arrays.values())
+
     def test_load_holds_one_copy_of_the_file(self, tmp_path, rng):
         """The arrays are views of the one buffer the file is read into, so the
         peak of a load is about one file, where a copy per array made it two."""

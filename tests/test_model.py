@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -284,19 +286,38 @@ def graph_size(loss) -> int:
 
 
 def held_bytes(loss) -> int:
-    """Bytes a recorded graph keeps alive: the distinct arrays reached from
-    ``loss`` through ``_parents``, as each node's ``data`` and as the arrays
-    in its VJP's closure cells, each counted once by the array that owns its
-    memory (a view counts as its base)."""
+    """Bytes a recorded graph keeps alive: the distinct arrays in the closure
+    cells of the VJPs of the nodes reached from ``loss`` through ``_parents``,
+    each counted once by the array that owns its memory (a view counts as its
+    base). A node holds no value, so its VJP's cells are all it keeps."""
     owners = {}
-    for node in reachable(loss):
-        cells = node._vjp.__closure__ or () if node._vjp is not None else ()
-        for a in [node.data, *(c.cell_contents for c in cells)]:
+    for node in reachable(loss._node):
+        for cell in node._vjp.__closure__ or () if isinstance(node, ad.Node) else ():
+            a = cell.cell_contents
             if isinstance(a, np.ndarray):
                 while isinstance(a.base, np.ndarray):
                     a = a.base
                 owners[id(a)] = a.nbytes
     return sum(owners.values())
+
+
+def full_memory(model, tokens):
+    """The memory after a no-grad forward over each block of ``tokens``."""
+    mems = model.init_memory(tokens.shape[1])
+    with ad.no_grad():
+        for block in tokens:
+            _, mems = model.forward(block, mems)
+    return mems
+
+
+def crossed_step(model, **kwargs):
+    """The loss of a training step over a full memory with every layer's two
+    heads swapped."""
+    tokens = np.random.default_rng(0).integers(0, model.config.vocab_size, size=(4, 2, 4))
+    sigma = HeadAssignment(np.array([1, 0]), cross_active=True)
+    logits, _ = model.forward(tokens[2], full_memory(model, tokens[:2]), assignments=[sigma] * 2, training=True,
+                              **kwargs)
+    return ad.cross_entropy(logits, tokens[3])
 
 
 class TestGraphSize:
@@ -315,19 +336,54 @@ class TestGraphSize:
         assert graph_size(ad.cross_entropy(logits, tokens[2])) == want
 
     def test_recorded_step_holds_no_array_it_can_rebuild(self):
-        """A crossed step over a full memory holds 43,624 bytes. A VJP that
-        kept its attention's q + u, q + v or head outputs, or its layer
-        norm's normalised rows, would hold more, as would a memory buffer
-        that viewed its joined rows (51,304 bytes with all of these)."""
+        """A crossed step over a full memory holds 30,944 bytes in its VJPs
+        (34,720 with the leaves' values; 43,624 when every node also kept its
+        own output). A ReLU VJP that read its input, an attention VJP that
+        kept q + u, q + v or its head outputs, a layer norm VJP that kept its
+        normalised rows, or a memory buffer that viewed its joined rows, would
+        hold more."""
+        assert held_bytes(crossed_step(fresh_model())) == 30_944
+
+    def test_no_vjp_keeps_a_tensor(self):
+        """A node reaches its inputs' values only through the arrays its VJP
+        captured: no closure cell of a recorded crossed step with dropout,
+        nested closures included, holds a ``Tensor``."""
+        loss = crossed_step(fresh_model(dropout=0.1), dropout_rng=np.random.default_rng(1))
+        nodes = [n for n in reachable(loss._node) if isinstance(n, ad.Node)]
+        cells = [c.cell_contents for n in nodes for c in n._vjp.__closure__ or ()]
+        assert len(nodes) > 40 and cells
+        while cells:
+            held = cells.pop()
+            assert not isinstance(held, ad.Tensor), held
+            cells += [c.cell_contents for c in getattr(held, "__closure__", None) or ()]
+
+    def test_forward_frees_what_no_vjp_reads(self, monkeypatch):
+        """Once ``forward`` returns, with the graph still alive, these outputs
+        are freed: w_ff1's (the pre-ReLU rows, ReLU's VJP reads its own
+        output), the memory's and the block's key and value projections
+        before their concat, and w_o's and w_ff2's before their residual add."""
         model = fresh_model()
         tokens = np.random.default_rng(0).integers(0, model.config.vocab_size, size=(4, 2, 4))
-        mems = model.init_memory(2)
-        with ad.no_grad():
-            for block in tokens[:2]:
-                _, mems = model.forward(block, mems)
-        sigma = HeadAssignment(np.array([1, 0]), cross_active=True)
-        logits, _ = model.forward(tokens[2], mems, assignments=[sigma] * 2, training=True)
-        assert held_bytes(ad.cross_entropy(logits, tokens[3])) == 43_624
+        mems = full_memory(model, tokens[:2])
+        watched = {id(w) for lp in model.layers for w in (lp.w_ff1, lp.attn.w_ke, lp.attn.w_v, lp.attn.w_o, lp.w_ff2)}
+        linear, freed = ad.linear, []
+
+        def spy(x, w, b=None):
+            out = linear(x, w, b)
+            if id(w) in watched:
+                owner = out.data
+                while owner.base is not None:
+                    owner = owner.base
+                freed.append(weakref.ref(owner))
+            return out
+
+        monkeypatch.setattr(ad, "linear", spy)
+        logits, _ = model.forward(tokens[2], mems, training=True)
+        loss = ad.cross_entropy(logits, tokens[3])
+        assert len(freed) == 7 * model.config.n_layers
+        assert [i for i, r in enumerate(freed) if r() is not None] == []
+        ad.backward(loss)
+        assert all(p.grad is not None for p in model.parameters())
 
 
 class TestStopGradient:

@@ -1,7 +1,10 @@
 import copy
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,7 +30,7 @@ def make_ids(n=200, vocab=11, seed=0):
     return np.random.default_rng(seed).integers(0, vocab, size=n)
 
 
-def quick_trainer(steps=6, *, seed=0, ids=None, schedule=None, **cfg_overrides):
+def quick_trainer(steps=6, *, seed=0, ids=None, schedule=None, beta=0.0, **cfg_overrides):
     kwargs = dict(base_lr=1e-3, eval_interval=100, eval_context=8, eval_block=4)
     kwargs.update(cfg_overrides)
     cfg = TrainConfig(
@@ -37,7 +40,7 @@ def quick_trainer(steps=6, *, seed=0, ids=None, schedule=None, **cfg_overrides):
         **kwargs,
     )
     hub = RngHub(cfg.seed)
-    model = MemoryLM(tiny_config(), hub["init"])
+    model = MemoryLM(tiny_config(beta=beta), hub["init"])
     if ids is None:
         ids = make_ids()
     return Trainer(model, cfg, batchify(ids, 1, 4), ids[:40], hub)
@@ -631,6 +634,51 @@ class TestTrainerLoop:
         for lm, want in zip(diag.mems.layers, mems.layers):
             assert lm.buffer.tobytes() == want.buffer.tobytes() and lm.tags.tobytes() == want.tags.tobytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diagnostic_checkpoint_replays_the_failed_step(self, tmp_path, monkeypatch):
+        """The ``.diag`` of a failed step holds the RNG streams as they were
+        before the step drew: those of a clean run's checkpoint at that step.
+        A trainer resumed from it draws the failed step's skip mask and head
+        assignments again."""
+        draws = []
+
+        def recorded(fn):
+            def call(*args):
+                draws.append(fn(*args))
+                return draws[-1]
+            return call
+
+        for name in ("sample_skip_mask", "sample_head_assignment"):
+            monkeypatch.setattr(train_module, name, recorded(getattr(train_module, name)))
+
+        def replay(trainer):
+            draws.clear()
+            trainer.train_step()
+            return [d.tolist() if isinstance(d, np.ndarray) else (d.sigma.tolist(), d.cross_active) for d in draws]
+
+        runs = {}
+        for name in ("clean", "poisoned"):
+            trainer = runs[name] = quick_trainer(steps=4, schedule=SkipSchedule.uniform(0.3), beta=1.0)
+            trainer.checkpoint_path, trainer.checkpoint_every = str(tmp_path / f"{name}.ckpt"), 1
+            trainer.run(until=2)
+        clean_rng = load_checkpoint(tmp_path / "clean.ckpt")[0]["rng"]
+        want = replay(runs["clean"])
+        assert len(want) == 3  # the mask, then one assignment per layer
+
+        backward = ad.backward
+
+        def poisoned(loss):
+            backward(loss)
+            runs["poisoned"].model.embedding.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(RuntimeError, match="non-finite gradient norm"):
+            runs["poisoned"].train_step()
+        monkeypatch.setattr(ad, "backward", backward)
+        diag = tmp_path / "poisoned.ckpt.diag"
+        assert load_checkpoint(diag)[0]["rng"] == clean_rng
+        assert replay(Trainer.load(diag, runs["poisoned"].batches)) == want
+
     def test_transition_recorded_once_and_phase_switches(self):
         # threshold so large the controller fires at the first eligible eval
         trainer = quick_trainer(
@@ -874,3 +922,42 @@ class TestPrecision:
             return np.array(losses + [evaluate(model, corpus.ids, 40, 8).nll])
 
         np.testing.assert_allclose(run("float32"), run("float64"), rtol=1e-5, atol=0)
+
+
+BLAS_RUN = """
+import hashlib, os, numpy as np
+from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule, TrainConfig, Trainer
+from memxl.data import batchify
+from memxl.train import evaluate
+hub = RngHub(3)
+ids = hub["data"].integers(0, 64, size=2 * 32 * 4 + 1)
+model = MemoryLM(ModelConfig(n_layers=2, d_model=64, d_inner=256, n_heads=2, d_head=32, mem_len=32, block_len=32,
+                             vocab_size=64, dropout=0.1, beta=0.5), hub["init"])
+trainer = Trainer(model, TrainConfig(steps=3, batch_size=2, schedule=SkipSchedule.uniform(0.3)),
+                  batchify(ids, 2, 32), None, hub)
+trainer.run()
+nll = evaluate(model, ids[:161], 64, 32).nll
+status = "/proc/self/status"  # Linux: the thread count, to show that the BLAS setting took
+threads = open(status).read().split("Threads:")[1].split()[0] if os.path.exists(status) else "?"
+for blob in (np.array([r.train_nll for r in trainer.log]), trainer.adam.params, np.float64(nll)):
+    print(hashlib.sha256(blob.tobytes()).hexdigest())
+print(threads)
+"""
+
+
+class TestBlasThreads:
+    def test_training_and_evaluation_do_not_depend_on_the_blas_thread_count(self):
+        """Three d64 training steps, with skipping, crossed heads and dropout,
+        then an evaluation, give the same losses, arena and NLL, bit for bit,
+        with one and with two BLAS threads. Their [64, 64] by [64, 64] GEMMs
+        are large enough for OpenBLAS to split over two threads."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+        procs = {}
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, PYTHONPATH=src)
+            procs[n] = subprocess.Popen([sys.executable, "-c", BLAS_RUN], env=env, stdout=subprocess.PIPE, text=True)
+        out = {n: proc.communicate(timeout=60)[0].split() for n, proc in procs.items()}
+        assert all(proc.returncode == 0 for proc in procs.values())
+        assert out["1"][:3] == out["2"][:3]
+        if out["2"][3] != "?" and len(os.sched_getaffinity(0)) > 1:
+            assert (out["1"][3], out["2"][3]) == ("1", "2")  # the setting took: one BLAS thread or two
