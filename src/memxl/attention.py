@@ -74,10 +74,6 @@ class LayerAttentionParams:
     v: Tensor     # [d_h]
 
     @property
-    def n_heads(self) -> int:
-        return self.w_q.shape[0]
-
-    @property
     def d_head(self) -> int:
         return self.w_q.shape[1]
 
@@ -132,14 +128,11 @@ def multi_head_forward(
     to, the memory's first and the block's own last, projected with the same
     (possibly crossed) ``params``. ``positions`` holds the [1, n, H * d_h]
     position keys of ``enc`` (``position_keys``). Cross-head matching
-    happens before this call, in ``params.crossed``. ``grids``, under
-    ``no_grad`` only, are the buffers the core writes its score grids into
+    happens before this call, in ``params.crossed``. ``prune``, a boolean
+    [H] row, keeps the heads it marks. ``grids``, under ``no_grad`` only,
+    are the flat buffers whose fronts the core writes its score grids into
     (``ad.attention_core``).
     """
-    if prune is not None:
-        prune = np.asarray(prune, dtype=bool)
-        if prune.shape != (params.n_heads,):
-            raise ValueError(f"prune mask must have length {params.n_heads}, got {prune.shape}")
     q = ad.linear(x_n, params.w_q)
     merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc, grids)  # [..., L, H * d_h]
     if prune is not None:

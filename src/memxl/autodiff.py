@@ -26,6 +26,7 @@ Contract notes:
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -266,11 +267,12 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     The VJP uses rowsum(dP * P) = rowsum(dO * O) (FlashAttention), so the
     softmax backward needs no second [B, H, L, K] array.
 
-    ``grids``, when given, are C-contiguous [..., H, L, n] and [..., H, L, K]
-    arrays that the position and key score grids are written into, in place
-    of fresh ones; a caller that evaluates block after block hands the same
-    pair to every call. The softmax is taken in the key grid, which the VJP
-    would keep, so grids are refused while a graph is being recorded.
+    ``grids``, when given, are two flat buffers whose fronts, viewed as the
+    [..., H, L, n] position and [..., H, L, K] key score grids, are written
+    in place of fresh ones; a caller that evaluates block after block hands
+    the same pair, sized for its largest call, to every call. The softmax is
+    taken in the key grid, which the VJP would keep, so grids are refused
+    while a graph is being recorded.
     """
     d_head = u.shape[-1]
     n_heads = q.shape[-1] // d_head
@@ -289,7 +291,8 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         raise ValueError(f"encoding runs {runs} do not match {length} queries by {n_keys} keys")
     if grids is not None and _grad_enabled:
         raise RuntimeError("attention score grids are reused from call to call; pass them under no_grad only")
-    pos_grid, key_grid = (None, None) if grids is None else grids
+    pos_grid, key_grid = (None, None) if grids is None else (
+        g[:math.prod(qh.shape[:-1]) * k].reshape(qh.shape[:-1] + (k,)) for g, k in zip(grids, (span, n_keys)))
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
     shifted = _relative_shift(np.matmul(qh + v_data, ph.swapaxes(-1, -2), out=pos_grid), length, span)
     p = np.matmul(qh + u_data, kh.swapaxes(-1, -2), out=key_grid)

@@ -1,11 +1,10 @@
 """Memory-augmented autoregressive transformer stack.
 
 Each layer caches its most recent input activations (detached) together
-with their absolute positions. ``MemoryLM.forward`` joins each layer's
-memory to the block in one place: the layer attends to the keys and values
-of its cached rows followed by the block's own. A layer can be skipped for
-a step, in which case it passes its input through unchanged and keeps its
-cache as-is, growing the relative offsets its next update will see.
+with their absolute positions (``MemoryState``), and attends to the keys and
+values of its cached rows followed by the block's own. A layer can be
+skipped for a step, in which case it passes its input through unchanged and
+keeps its cache as-is, growing the relative offsets its next update will see.
 
 Streaming evaluation runs under fixed parameters, so it caches each
 layer's projected keys and values instead of the raw rows, and its position
@@ -14,7 +13,6 @@ keys, built once (``StreamState``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -124,6 +122,15 @@ class LayerMemory:
     tags: np.ndarray    # [rows] absolute positions
     staleness: int = 0
 
+    def join(self, keys: Tensor, values: Tensor, lp: LayerParams, params: LayerAttentionParams):
+        """The cached rows' keys and values, normalised and projected again with
+        the graph attached, followed by the block's ``keys`` and ``values``."""
+        if self.buffer.shape[1] == 0:
+            return keys, values
+        rows = ad.layer_norm(Tensor(self.buffer.astype(keys.dtype, copy=False)), lp.ln_attn_g, lp.ln_attn_b)
+        return (ad.concat([ad.linear(rows, params.w_ke), keys], axis=1),
+                ad.concat([ad.linear(rows, params.w_v), values], axis=1))
+
     def advanced(self, x, step_tags, mem_len: int) -> "LayerMemory":
         """The newest ``mem_len`` rows of (buffer ++ detached ``x``), joined
         from the kept tails alone, so no dropped row stays alive."""
@@ -136,6 +143,9 @@ class LayerMemory:
 
 @dataclass
 class MemoryState:
+    """Memory for training: each layer's cached rows and their tags, gapped by
+    skips; every call projects the rows again and returns a new state."""
+
     layers: list[LayerMemory]
     mem_len: int
     next_position: int = 0
@@ -144,20 +154,27 @@ class MemoryState:
     def batch(self) -> int:
         return self.layers[0].buffer.shape[0]
 
-    @staticmethod
-    def fresh(n_layers: int, mem_len: int, batch: int, d_model: int, dtype=np.float64) -> "MemoryState":
-        if mem_len < 0:
-            raise ValueError(f"mem_len must be nonnegative, got {mem_len}")
-        return MemoryState(
-            layers=[
-                LayerMemory(
-                    buffer=np.zeros((batch, 0, d_model), dtype=dtype),
-                    tags=np.zeros(0, dtype=np.int64),
-                )
-                for _ in range(n_layers)
-            ],
-            mem_len=mem_len,
-        )
+    def check(self, tokens: np.ndarray, skip_mask, assignments) -> np.ndarray:
+        """The call's [B, L] tokens: training takes any mask and assignments."""
+        return tokens
+
+    def layouts(self, q_tags: np.ndarray, record):
+        """(layer memory, ``w_kr``) -> (offsets, encoding, position keys, no
+        grids), one encoding per layout of cache tags, shared by its layers."""
+        cache: dict[bytes, tuple[np.ndarray, OffsetEncodings]] = {}
+
+        def layout(lm: LayerMemory, w_kr: Tensor):
+            key = lm.tags.tobytes()
+            if key not in cache:
+                offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
+                cache[key] = offsets, encode_offsets(offsets, w_kr.shape[-1])
+            offsets, enc = cache[key]
+            return offsets, enc, position_keys(enc, w_kr), None
+
+        return layout
+
+    def advanced(self, layers: list[LayerMemory], n_tokens: int, logits: Tensor) -> tuple[Tensor, "MemoryState"]:
+        return logits, replace(self, layers=layers, next_position=self.next_position + n_tokens)
 
 
 @dataclass
@@ -167,9 +184,9 @@ class StreamLayer:
     ``StreamState.fresh`` sizes for the memory and the largest call after
     it, and the layer's position keys of the stream's offset encoding.
 
-    ``extend`` writes a call's keys and values after them, in place, and
+    ``join`` writes a call's keys and values after them, in place, and
     hands each block of the call its window as a view, valid until the next
-    ``extend``; ``advanced`` then keeps the newest ``mem_len`` rows, whose
+    ``join``; ``advanced`` then keeps the newest ``mem_len`` rows, whose
     tags are contiguous, so their count stands for them. A call whose rows
     do not fit after ``stop`` first moves the kept rows to the front of the
     stores (``_compact``).
@@ -182,7 +199,7 @@ class StreamLayer:
     staleness: int = 0
     stop: int = 0          # the kept rows are the stores' rows stop - rows .. stop - 1
 
-    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+    def join(self, keys: Tensor, values: Tensor, lp: LayerParams, params: LayerAttentionParams):
         """Keys and values of each of the call's [B, S, L, H * d_h] blocks
         after the memory rows before it, as [B, S, rows + L, H * d_h]
         windows. For S > 1 the memory must be full, so that every block's
@@ -214,7 +231,7 @@ class StreamLayer:
         self.stop = rows
 
     def advanced(self, x, step_tags, mem_len: int) -> "StreamLayer":
-        """Keep the newest ``mem_len`` of the rows ``extend`` left; ``x`` is
+        """Keep the newest ``mem_len`` of the rows ``join`` left; ``x`` is
         not read, since the call's keys and values are already projected."""
         self.rows, self.staleness = min(mem_len, self.rows + len(step_tags)), 0
         return self
@@ -232,7 +249,7 @@ class StreamState:
     once every layer holds ``mem_len`` rows, up to ``blocks`` whole blocks.
     Every layer runs on every block, so L queries over ``rows`` memory rows
     read n = rows + L contiguous keys at offsets n - 1 .. 0, the tails of
-    ``enc`` and of each layer's position keys, and [B, S, H, L, n] grids.
+    ``enc`` and of each layer's position keys, and the fronts of ``grids``.
     """
 
     layers: list[StreamLayer]
@@ -262,6 +279,38 @@ class StreamState:
             ]
         grids = (np.empty(grid, config.dtype), np.empty(grid, config.dtype))
         return StreamState(layers, mem_len, block_len, blocks, enc, grids)
+
+    def check(self, tokens: np.ndarray, skip_mask, assignments) -> np.ndarray:
+        """Refuse a call this stream cannot take, before any write; its tokens as [B, S, L]."""
+        if ad.grad_enabled():
+            raise RuntimeError("a stream state holds projections of fixed parameters; use it under no_grad only")
+        if skip_mask is not None:
+            raise ValueError("a stream state runs every layer on every block; it takes no skip mask")
+        if assignments is not None and any(a.cross_active for a in assignments):
+            raise ValueError("a stream state caches its own heads' keys; it takes no crossed head assignment")
+        batch, n_tokens = tokens.shape
+        length = min(n_tokens, self.block_len)
+        if n_tokens > length:
+            full = all(lm.rows == self.mem_len for lm in self.layers)
+            if n_tokens % length or n_tokens > self.blocks * length or not full:
+                raise ValueError(f"a stream call holds up to {self.blocks} whole blocks, several only over full memory")
+        return tokens.reshape(batch, -1, length)
+
+    def layouts(self, q_tags: np.ndarray, record):
+        """(layer memory, ``w_kr``) -> (offsets for a ``record``, encoding,
+        position keys, grid buffers): the tails of what ``fresh`` built."""
+        def layout(lm: StreamLayer, w_kr: Tensor):
+            n = lm.rows + len(q_tags)
+            offsets = None if record is None else relative_offsets(q_tags, block_tags(q_tags[0] - lm.rows, n))
+            enc = OffsetEncodings(self.enc.offsets[:n], self.enc.vectors[-n:], [(0, n, 0)])
+            return offsets, enc, Tensor(lm.positions[:, -n:]), self.grids
+
+        return layout
+
+    def advanced(self, layers: list[StreamLayer], n_tokens: int, logits: Tensor) -> tuple[Tensor, "StreamState"]:
+        """Advance in place; the logits of the call's blocks as [B, S * L, V]."""
+        self.layers, self.next_position = layers, self.next_position + n_tokens
+        return Tensor(logits.data.reshape(self.batch, n_tokens, -1)), self
 
 
 def update_memory(mem, x, skipped: bool, step_tags: np.ndarray, mem_len: int):
@@ -316,22 +365,15 @@ class MemoryLM:
             p.zero_grad()
 
     def init_memory(self, batch: int = 1, mem_len: int | None = None) -> MemoryState:
-        if mem_len is None:
-            mem_len = self.config.mem_len
-        return MemoryState.fresh(self.config.n_layers, mem_len, batch, self.config.d_model, self.config.dtype)
-
-    def _check_tokens(self, tokens) -> np.ndarray:
-        tokens = np.asarray(tokens)
-        if not np.issubdtype(tokens.dtype, np.integer):
-            raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
-        if tokens.size == 0:
-            raise ValueError("empty token block")
-        if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
-            raise ValueError(
-                f"token id out of range [0, {self.config.vocab_size}): "
-                f"min {tokens.min()}, max {tokens.max()}"
-            )
-        return tokens.astype(np.int64)
+        cfg = self.config
+        mem_len = cfg.mem_len if mem_len is None else mem_len
+        if mem_len < 0:
+            raise ValueError(f"mem_len must be nonnegative, got {mem_len}")
+        layers = [
+            LayerMemory(buffer=np.zeros((batch, 0, cfg.d_model), dtype=cfg.dtype), tags=np.zeros(0, dtype=np.int64))
+            for _ in range(cfg.n_layers)
+        ]
+        return MemoryState(layers=layers, mem_len=mem_len)
 
     def forward(
         self,
@@ -350,22 +392,25 @@ class MemoryLM:
         untouched this step and keep their cache; ``assignments`` carries one
         head assignment per layer. Both default to the inactive case.
 
-        A ``MemoryState`` holds raw rows, which each call normalises and
-        projects again, with the graph attached; the call returns a new
-        state. A ``StreamState`` holds projections of the current
-        parameters through each layer's own heads, so it is accepted only
-        under ``no_grad``, with no crossed heads and no skip mask; the call
-        encodes and projects no position, and advances it in place and
-        returns it. Under a full stream, ``tokens`` may hold up to the
-        stream's S whole blocks, [B, S * L]: each layer runs over them as
-        one [B, S, L] stack, since a block's memory is the layer below's
-        output over the rows before it, which the call has already computed.
+        The memory kind lays out and joins its keys: ``mems.check`` makes its
+        refusals and returns the tokens as [B, L] or, for a stream, [B, S, L]
+        blocks; ``mems.layouts`` gives each layer's offsets, encoding,
+        position keys and grid buffers; a layer memory's ``join`` puts its
+        keys and values before the block's; ``mems.advanced`` returns the
+        [B, n_tokens, V] logits and the next state.
         """
         cfg = self.config
-        stream = isinstance(mems, StreamState)
-        if stream and ad.grad_enabled():
-            raise RuntimeError("a stream state holds projections of fixed parameters; use it under no_grad only")
-        tokens = self._check_tokens(tokens)
+        tokens = np.asarray(tokens)
+        if not np.issubdtype(tokens.dtype, np.integer):
+            raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
+        if tokens.size == 0:
+            raise ValueError("empty token block")
+        if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+            raise ValueError(
+                f"token id out of range [0, {cfg.vocab_size}): "
+                f"min {tokens.min()}, max {tokens.max()}"
+            )
+        tokens = tokens.astype(np.int64)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [B, L], got shape {tokens.shape}")
         batch, n_tokens = tokens.shape
@@ -374,8 +419,7 @@ class MemoryLM:
             raise ValueError(f"memory has {len(mems.layers)} layers, model has {cfg.n_layers}")
         if mems.batch != batch:
             raise ValueError(f"memory batch {mems.batch} does not match tokens batch {batch}")
-        if stream and skip_mask is not None:
-            raise ValueError("a stream state runs every layer on every block; it takes no skip mask")
+        blocks = mems.check(tokens, skip_mask, assignments)
         if skip_mask is None:
             skip_mask = np.zeros(cfg.n_layers, dtype=bool)
         skip_mask = np.asarray(skip_mask, dtype=bool)
@@ -383,23 +427,15 @@ class MemoryLM:
             raise ValueError(f"skip mask must have length {cfg.n_layers}, got shape {skip_mask.shape}")
         if assignments is not None and len(assignments) != cfg.n_layers:
             raise ValueError(f"need one head assignment per layer, got {len(assignments)}")
-        if stream and assignments is not None and any(a.cross_active for a in assignments):
-            raise ValueError("a stream state caches its own heads' keys; it takes no crossed head assignment")
-        prune = self._check_prune(prune)
-        length = min(n_tokens, mems.block_len) if stream else n_tokens
-        if n_tokens > length:
-            full = all(lm.rows == mems.mem_len for lm in mems.layers)
-            if n_tokens % length or n_tokens > mems.blocks * length or not full:
-                raise ValueError(f"a stream call holds up to {mems.blocks} whole blocks, several only over full memory")
+        if prune is not None:
+            prune = np.asarray(prune, dtype=bool)
+            if prune.shape != (cfg.n_layers, cfg.n_heads):
+                raise ValueError(f"prune mask must have shape {(cfg.n_layers, cfg.n_heads)}, got {prune.shape}")
 
-        h = ad.index_rows(self.embedding, tokens.reshape(batch, -1, length) if stream else tokens)
+        h = ad.index_rows(self.embedding, blocks)
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
         tags = block_tags(mems.next_position, n_tokens)
-        q_tags = tags[:length]  # the first block's; every block of a call shares its offsets
-
-        # training: one offset matrix and encoding per layout of cache tags
-        # relative to the block, shared by the layers whose caches hold it
-        layouts: dict[bytes, tuple[np.ndarray, OffsetEncodings]] = {}
+        layout = mems.layouts(tags[:blocks.shape[-1]], record)  # every block of a call shares the first's offsets
         new_layers = []
         for i, (lp, lm) in enumerate(zip(self.layers, mems.layers)):
             if skip_mask[i]:
@@ -410,33 +446,13 @@ class MemoryLM:
 
             layer_input = h
             attn_params = lp.attn.crossed(assignments[i] if assignments is not None else None)
-            grids = None
-            if stream:  # n contiguous keys at offsets n - 1 .. 0: the tails of what fresh built
-                n = lm.rows + length
-                enc = OffsetEncodings(mems.enc.offsets[:n], mems.enc.vectors[-n:], [(0, n, 0)])
-                positions = Tensor(lm.positions[:, -n:])
-                offsets = None if record is None else relative_offsets(q_tags, block_tags(q_tags[0] - lm.rows, n))
-                shape = (*h.shape[:-2], cfg.n_heads, length, n)  # [B, S, H, L, n]
-                grids = tuple(g[:math.prod(shape)].reshape(shape) for g in mems.grids)
-            else:
-                key = (lm.tags - mems.next_position).tobytes()
-                if key not in layouts:
-                    offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
-                    layouts[key] = offsets, encode_offsets(offsets, cfg.d_model)
-                offsets, enc = layouts[key]
-                positions = position_keys(enc, attn_params.w_kr)
+            offsets, enc, positions, grids = layout(lm, attn_params.w_kr)
             if record is not None:
                 record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=offsets))
 
             x_n = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
-            keys, values = ad.linear(x_n, attn_params.w_ke), ad.linear(x_n, attn_params.w_v)
             # the layer attends to its memory's rows followed by the block's
-            if stream:
-                keys, values = lm.extend(keys, values)
-            elif lm.buffer.shape[1] > 0:
-                rows = ad.layer_norm(Tensor(lm.buffer.astype(cfg.dtype, copy=False)), lp.ln_attn_g, lp.ln_attn_b)
-                keys = ad.concat([ad.linear(rows, attn_params.w_ke), keys], axis=1)
-                values = ad.concat([ad.linear(rows, attn_params.w_v), values], axis=1)
+            keys, values = lm.join(ad.linear(x_n, attn_params.w_ke), ad.linear(x_n, attn_params.w_v), lp, attn_params)
             prune_i = prune[i] if prune is not None else None
             attn = multi_head_forward(x_n, keys, values, enc, attn_params, positions, prune_i, grids)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
@@ -454,16 +470,4 @@ class MemoryLM:
         final = ad.layer_norm(h, self.ln_out_g, self.ln_out_b)
         logits = ad.linear(final, self.embedding)  # tied weights: the transposed embedding table
 
-        if stream:
-            mems.layers, mems.next_position = new_layers, mems.next_position + n_tokens
-            return Tensor(logits.data.reshape(batch, n_tokens, -1)), mems
-        return logits, MemoryState(layers=new_layers, mem_len=mems.mem_len, next_position=mems.next_position + n_tokens)
-
-    def _check_prune(self, prune):
-        if prune is None:
-            return None
-        prune = np.asarray(prune, dtype=bool)
-        expect = (self.config.n_layers, self.config.n_heads)
-        if prune.shape != expect:
-            raise ValueError(f"prune mask must have shape {expect}, got {prune.shape}")
-        return prune
+        return mems.advanced(new_layers, n_tokens, logits)

@@ -188,7 +188,7 @@ def core_probs(x, keys, enc, params):
     [B, K, H * d_h] projected keys: the fused core's merged output for identity
     values, cut into heads by column slices."""
     batch, n_keys = keys.shape[:2]
-    n_heads = params.n_heads
+    n_heads = params.w_q.shape[0]
     eye = ad.Tensor(np.tile(np.eye(n_keys), (batch, 1, n_heads)))  # each head's values are the identity
     q = ad.linear(x, params.w_q)
     merged = ad.attention_core(q, keys, eye, attention.position_keys(enc, params.w_kr), params.u, params.v, enc)

@@ -512,29 +512,34 @@ class TestAttentionCore:
 
     @pytest.mark.parametrize("layout", ["filling", "stale3"])
     def test_score_grids_written_into_given_buffers(self, rng, layout):
-        """Handed [B, H, L, n] and [B, H, L, K] buffers under no_grad, the core
-        writes its two score grids there and returns the same bytes as with
-        fresh grids, call after call; the key grid ends up holding the softmax."""
+        """Handed two flat NaN-filled buffers under no_grad, as long as the
+        grids or longer, the core writes its [B, H, L, n] and [B, H, L, K]
+        score grids into their fronts and returns the same bytes as with
+        fresh grids, call after call; the key grid ends up holding the
+        softmax, and the tails stay NaN."""
         inputs, enc, offsets = core_inputs(rng, np.float64, layout)
         batch, n_heads = inputs[0].shape[0], 3
         length, n_keys = offsets.shape
-        grids = (np.full((batch, n_heads, length, enc.offsets.size), np.nan),
-                 np.full((batch, n_heads, length, n_keys), np.nan))
+        sizes = [batch * n_heads * length * n for n in (enc.offsets.size, n_keys)]
         with ad.no_grad():
             want = ad.attention_core(*inputs, enc).data
-            for _ in range(2):
-                got = ad.attention_core(*inputs, enc, grids).data
-                assert got.tobytes() == want.tobytes()
-                np.testing.assert_allclose(grids[1].sum(axis=-1), 1.0, rtol=1e-13)
-                assert not np.isnan(grids[0]).any()
-                for grid in grids:
-                    grid[...] = np.nan
+            for spare in (0, 7):
+                buffers = tuple(np.full(size + spare, np.nan) for size in sizes)
+                for _ in range(2):
+                    got = ad.attention_core(*inputs, enc, buffers).data
+                    assert got.tobytes() == want.tobytes()
+                    pos_grid, key_grid = (b[:n].reshape(batch, n_heads, length, -1) for b, n in zip(buffers, sizes))
+                    np.testing.assert_allclose(key_grid.sum(axis=-1), 1.0, rtol=1e-13)
+                    assert not np.isnan(pos_grid).any()
+                    for b, size in zip(buffers, sizes):
+                        assert b[size:].size == spare and np.isnan(b[size:]).all()
+                        b[...] = np.nan
 
     def test_score_grids_refused_while_recording(self, rng):
         """The VJP keeps the softmax, which a reused buffer would overwrite."""
         inputs, enc, offsets = core_inputs(rng, np.float64, "full")
         length, n_keys = offsets.shape
-        grids = (np.empty((2, 3, length, enc.offsets.size)), np.empty((2, 3, length, n_keys)))
+        grids = (np.empty(2 * 3 * length * enc.offsets.size), np.empty(2 * 3 * length * n_keys))
         with pytest.raises(RuntimeError, match="no_grad"):
             ad.attention_core(*inputs, enc, grids)
 

@@ -9,7 +9,7 @@ from conftest import tiny_config
 from helpers import reachable
 from memxl import MemoryLM, RngHub, relpos
 from memxl.attention import HeadAssignment
-from memxl.model import LayerMemory, LayerTrace, MemoryState, update_memory
+from memxl.model import LayerMemory, LayerTrace, update_memory
 from test_attention import oracle_forward
 
 
@@ -450,9 +450,11 @@ class TestValidation:
         model = fresh_model()
         with pytest.raises(ValueError, match="memory batch"):
             model.forward(np.array([[1, 2], [3, 4]]), model.init_memory(1))
-        bad = MemoryState.fresh(3, 4, 1, 8)
+        bad = fresh_model(n_layers=3).init_memory(1)
         with pytest.raises(ValueError, match="layers"):
             model.forward(np.array([[1, 2]]), bad)
+        with pytest.raises(ValueError, match="mem_len must be nonnegative"):
+            model.init_memory(1, mem_len=-1)
 
     def test_mask_shape_checks(self):
         model = fresh_model()

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import importlib
 import math
@@ -445,6 +446,36 @@ class TestStreamBuffers:
                 model.forward(ids[:, : 2 * self.BLOCK], stream)
         assert stream.next_position == self.CONTEXT
 
+    REFUSALS = {  # refusal: (tokens the stream holds, tokens of the refused call, message)
+        "recording": (4, 4, "no_grad"),
+        "skip_mask": (4, 4, "skip mask"),
+        "crossed": (4, 4, "crossed"),
+        "part_block": (8, 6, "whole blocks"),
+        "several_before_full": (4, 8, "whole blocks"),
+    }
+
+    @pytest.mark.parametrize("refusal", list(REFUSALS))
+    def test_refuses_before_it_writes(self, refusal):
+        """Each refusal of StreamState.check leaves the stream as it was: its
+        position, every layer's row count and stop, and its stores' bytes."""
+        filled, n_tokens, match = self.REFUSALS[refusal]
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        stream = StreamState.fresh(model, 1, 8, 4, blocks=2)
+        ids = make_ids(filled + n_tokens)[None, :]
+        stream_calls(model, ids[:, :filled], stream, 4)
+        crossed = [HeadAssignment.identity(2), HeadAssignment(np.array([1, 0]), cross_active=True)]
+        kwargs = {"skip_mask": {"skip_mask": [False, True]}, "crossed": {"assignments": crossed}}.get(refusal, {})
+
+        def state():
+            return stream.next_position, [(lm.rows, lm.stop, lm.keys.tobytes(), lm.values.tobytes())
+                                          for lm in stream.layers]
+
+        before = state()
+        with contextlib.nullcontext() if refusal == "recording" else ad.no_grad():
+            with pytest.raises((RuntimeError, ValueError), match=match):
+                model.forward(ids[:, filled:], stream, **kwargs)
+        assert state() == before
+
     def test_consecutive_calls_reuse_the_same_buffers(self):
         model, stream, ids = self.full_stream()
         enc, grids = stream.enc, stream.grids
@@ -485,14 +516,14 @@ class TestStreamBuffers:
         attend = model_module.multi_head_forward
 
         def recording(*args):
-            calls.append((args[0].shape[1], args[-1][1].base))
+            calls.append((args[0].shape[1], args[-1][1]))
             return attend(*args)
 
         monkeypatch.setattr(model_module, "multi_head_forward", recording)
         assert evaluate(model, ids, 32, 16).nll == want
         # one call per layer: calls 4-7 run the 16-block chunk, 8-11 the 5-block one
         assert [segments for segments, _ in calls[::4]] == [1, 16, 5, 1]
-        assert calls[4][1] is calls[8][1] is calls[11][1]
+        assert calls[4][1] is calls[8][1] is calls[11][1] is not None
 
 
 class TestTrainerLoop:
