@@ -29,10 +29,10 @@ class HeadAssignment:
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=np.int64)
-        n = sigma.size
-        if not np.array_equal(np.sort(sigma), np.arange(n)):
+        heads, identity = sigma.tolist(), list(range(sigma.size))  # checked on Python ints
+        if sigma.ndim != 1 or sorted(heads) != identity:
             raise ValueError(f"head assignment must be a bijection, got {sigma}")
-        if not self.cross_active and not np.array_equal(sigma, np.arange(n)):
+        if not self.cross_active and heads != identity:
             raise ValueError("cross_active=False requires the identity assignment")
         self.sigma = sigma
 
@@ -136,5 +136,5 @@ def multi_head_forward(
     q = ad.linear(x_n, params.w_q)
     merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc, grids)  # [..., L, H * d_h]
     if prune is not None:
-        merged = ad.mul(merged, Tensor(np.repeat(prune, params.d_head).astype(merged.dtype)))
+        merged = ad.mul(merged, Tensor(prune.repeat(params.d_head).astype(merged.dtype)))
     return ad.linear(merged, params.w_o)

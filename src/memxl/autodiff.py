@@ -21,17 +21,20 @@ Contract notes:
     in place, so a caller that keeps a grad must copy it.
   * ``Tensor.detach`` is a stop-gradient boundary: nothing behind it
     ever accumulates grad.
+  * The hot path calls numpy's C entry points, never a numpy function
+    written in Python around one, whose frame costs as much as a small op.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 _grad_enabled = True
 
@@ -53,16 +56,22 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+def array_mean(x: np.ndarray, axis: int | None = -1) -> np.ndarray:
+    """``x.mean(axis, keepdims=True)``, divided as ``ndarray.mean`` divides: in place, by an ``np.intp`` count."""
+    total = np.add.reduce(x, axis=axis, keepdims=True)
+    return np.true_divide(total, np.intp(x.size if axis is None else x.shape[axis]), out=total, casting="unsafe")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -84,7 +93,7 @@ class Tensor:
     __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
+        arr = data if type(data) is np.ndarray else np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -163,13 +172,13 @@ def relu(a: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    lead, edges = (slice(None),) * (axis % out.ndim), [0, *accumulate(t.shape[axis] for t in tensors)]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple([g[lead + (slice(a, b),)] for a, b in zip(edges, edges[1:])])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
+    return _make(out, tensors, vjp)
 
 
 def index_rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -192,18 +201,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     rows, weight, x_grad = x.data, gain.data, x.requires_grad
-    centered = rows - rows.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    centered = rows - array_mean(rows)
+    std = np.sqrt(array_mean(centered * centered) + eps)
 
     def vjp(g):
-        normed = (rows - rows.mean(axis=-1, keepdims=True)) / std  # the forward's rows, rebuilt, not kept
+        normed = (rows - array_mean(rows)) / std  # the forward's rows, rebuilt, not kept
         gx = None  # no input gradient for rows that take none, such as cached memory
         if x_grad:
             gn = g * weight
-            gx = (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
+            gx = (gn - array_mean(gn) - normed * array_mean(gn * normed)) / std
         # gain and bias broadcast over every leading axis, so their grads sum over them
         lead = tuple(range(g.ndim - 1))
-        return gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
+        return gx, np.add.reduce(g * normed, axis=lead), np.add.reduce(g, axis=lead)
 
     return _make(centered / std * weight + bias.data, (x, gain, bias), vjp)
 
@@ -241,7 +250,15 @@ def _relative_shift(grid: np.ndarray, length: int, span: int) -> np.ndarray:
     strides). Where L - 1 - i + c >= W, the entry reads the next row's start,
     as Transformer-XL's pad-and-reshape does; that only happens for c > n - L + i."""
     *lead, row, col = grid.strides
-    return as_strided(grid[..., length - 1:], grid.shape[:-1] + (span,), (*lead, row - col, col))
+    return np.ndarray(grid.shape[:-1] + (span,), grid.dtype, grid, (length - 1) * col, (*lead, row - col, col))
+
+
+@functools.lru_cache(maxsize=16)
+def _future(length: int) -> np.ndarray:
+    """The read-only [L, L] mask of each query's future keys, built once per length."""
+    mask = np.arange(length)[:, None] < np.arange(length)
+    mask.flags.writeable = False
+    return mask
 
 
 def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout,
@@ -299,15 +316,15 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     for a, b, c in runs:
         p[..., a:b] += shifted[..., c:c + b - a]
     p *= scale
-    np.copyto(p[..., n_keys - length:], -np.inf, where=np.triu(np.ones((length, length), bool), 1))
-    peak = p.max(axis=-1, keepdims=True)
-    if not np.isfinite(peak).all():  # a row's max is -inf only when every score in it is
+    np.copyto(p[..., n_keys - length:], -np.inf, where=_future(length))
+    peak = np.maximum.reduce(p, axis=-1, keepdims=True)
+    if not np.logical_and.reduce(np.isfinite(peak), axis=None):  # a row's max is -inf only when every score in it is
         if np.isneginf(peak[~np.isfinite(peak)]).all():
             raise RuntimeError("attention row with no attendable key; a token always attends to itself")
         raise RuntimeError("non-finite scores in attention (NaN or +inf)")
     p -= peak
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     out = merge(np.matmul(p, vh))
 
     # the VJP keeps p and rebuilds q + u and q + v; it reads the head outputs
@@ -315,7 +332,7 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     def vjp(g):
         g = heads(g)
         ds = np.matmul(g, vh.swapaxes(-1, -2))
-        ds -= np.sum(g * heads(out), axis=-1, keepdims=True)
+        ds -= np.add.reduce(g * heads(out), axis=-1, keepdims=True)
         ds *= p
         ds *= scale
         # L - 1 padding columns keep the future slots' zeros off the real ones
@@ -341,10 +358,11 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
 def token_nll(x: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-token NLL [..., 1] in nats of ``targets`` in [0, V) under logits ``x``
     [..., V], with the exp(x - max) and sums that ``cross_entropy``'s VJP reads."""
-    shift = np.max(x, axis=-1, keepdims=True)
+    shift = np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(x - shift)
-    total = e.sum(axis=-1, keepdims=True)
-    return np.log(total) + shift - np.take_along_axis(x, targets[..., None], axis=-1), e, total
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    picked = x.reshape(-1, x.shape[-1])[np.arange(targets.size), targets.reshape(-1)]
+    return np.log(total) + shift - picked.reshape(targets.shape + (1,)), e, total
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -356,7 +374,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     vocab = logits.shape[-1]
     if targets.shape != logits.shape[:-1]:
         raise ValueError(f"targets shape {targets.shape} does not match logits {logits.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= vocab):
+    if targets.size and (np.minimum.reduce(targets, axis=None) < 0 or np.maximum.reduce(targets, axis=None) >= vocab):
         raise ValueError(f"target id out of range [0, {vocab})")
     per_token, e, total = token_nll(logits.data, targets)
 
@@ -364,7 +382,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         onehot = np.arange(vocab) == targets[..., None]
         return ((e / total - onehot) * (g / targets.size),)
 
-    return _make(per_token.mean(), (logits,), vjp)
+    return _make(array_mean(per_token, None).reshape(()), (logits,), vjp)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -409,7 +427,7 @@ def backward(loss: Tensor) -> None:
             if type(parent) is Node and id(parent) not in visited:
                 stack.append((parent, False))
 
-    loss.grad = loss._node.grad = np.ones((), dtype=loss.dtype)
+    loss.grad = loss._node.grad = np.array(1, loss.dtype)
     for node in reversed(topo):
         vjp, node._vjp = node._vjp, None  # frees what only this VJP kept once it has run
         if node.grad is None:
@@ -507,10 +525,7 @@ def finite_diff_check(
                 numeric[i] = (f_plus - f_minus) / (2.0 * step)
             numeric = numeric.reshape(p.shape)
             a = analytic[name]
-            scale = max(np.abs(a).max(initial=0.0), np.abs(numeric).max(initial=0.0), 1e-12)
-            checks[name] = ParamCheck(
-                analytic_absmax=float(np.abs(a).max(initial=0.0)),
-                numeric_absmax=float(np.abs(numeric).max(initial=0.0)),
-                rel_error=float(np.abs(a - numeric).max(initial=0.0) / scale),
-            )
+            a_max, n_max = float(np.abs(a).max(initial=0.0)), float(np.abs(numeric).max(initial=0.0))
+            rel_error = float(np.abs(a - numeric).max(initial=0.0)) / max(a_max, n_max, 1e-12)
+            checks[name] = ParamCheck(analytic_absmax=a_max, numeric_absmax=n_max, rel_error=rel_error)
     return FiniteDiffReport(checks=checks, step=step, tol=tol)

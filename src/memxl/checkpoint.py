@@ -26,10 +26,10 @@ def _little_endian(arr: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``meta`` and ``arrays`` to ``path`` atomically: into a temporary
-    file beside it, fsynced, then renamed onto it, so a write that fails
-    leaves any earlier file at ``path`` as it was and no temporary file
-    behind. Each array is written from its own buffer (a copy only for one
-    that is not C-contiguous and little-endian)."""
+    file beside it, fsynced, then renamed onto it, and the directory fsynced,
+    so a write that fails leaves any earlier file at ``path`` as it was and no
+    temporary file behind. Each array is written from its own buffer (a copy
+    only for one that is not C-contiguous and little-endian)."""
     arrays = {name: np.require(_little_endian(np.asarray(arr)), requirements="C") for name, arr in arrays.items()}
     entries, offset = [], 0
     for name, arr in arrays.items():
@@ -52,6 +52,11 @@ def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -61,7 +66,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         blob = bytearray(os.fstat(f.fileno()).st_size)
         f.readinto(blob)
-    if blob[:4] != MAGIC:
+    if blob[:4] != MAGIC[:len(blob)]:  # a file cut inside the magic is truncated, below
         raise ValueError(f"{path} is not a checkpoint file (bad magic)")
     if len(blob) < 12:
         raise ValueError(f"{path} is truncated: {len(blob)} bytes, shorter than the header length field")

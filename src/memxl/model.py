@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -213,7 +212,9 @@ class StreamLayer:
         def windows(store):  # window s starts at row first + s * length: overlapping views, no copy
             b, r, c = store.strides
             shape = (batch, segments, rows + length, width)
-            return Tensor(as_strided(store[:, first:], shape, (b, length * r, r, c), writeable=False))
+            view = np.ndarray(shape, store.dtype, store, first * r, (b, length * r, r, c))
+            view.flags.writeable = False
+            return Tensor(view)
 
         self.keys[:, self.stop - new:self.stop] = keys.data.reshape(batch, new, width)
         self.values[:, self.stop - new:self.stop] = values.data.reshape(batch, new, width)
@@ -401,15 +402,13 @@ class MemoryLM:
         """
         cfg = self.config
         tokens = np.asarray(tokens)
-        if not np.issubdtype(tokens.dtype, np.integer):
+        if tokens.dtype.kind not in "iu":
             raise ValueError(f"token ids must be integers, got dtype {tokens.dtype}")
         if tokens.size == 0:
             raise ValueError("empty token block")
-        if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-            raise ValueError(
-                f"token id out of range [0, {cfg.vocab_size}): "
-                f"min {tokens.min()}, max {tokens.max()}"
-            )
+        low, high = np.minimum.reduce(tokens, axis=None), np.maximum.reduce(tokens, axis=None)
+        if low < 0 or high >= cfg.vocab_size:
+            raise ValueError(f"token id out of range [0, {cfg.vocab_size}): min {low}, max {high}")
         tokens = tokens.astype(np.int64)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be [B, L], got shape {tokens.shape}")

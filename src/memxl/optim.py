@@ -30,7 +30,7 @@ def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
     order its length alone fixes (BLAS's dot would split by thread count)."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = math.sqrt(float(np.sum(np.square(grad))))
+    total = math.sqrt(float(np.add.reduce(np.square(grad), axis=None)))
     if total > max_norm:
         grad *= max_norm / total
     return total

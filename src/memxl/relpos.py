@@ -64,9 +64,9 @@ class OffsetEncodings:
 def encode_offsets(offsets: np.ndarray, d: int) -> OffsetEncodings:
     """Encode offsets 0 .. max of the matrix and split its keys into runs."""
     offsets = np.asarray(offsets, dtype=np.int64)
-    n = int(offsets.max()) + 1
+    n = int(np.maximum.reduce(offsets, axis=None)) + 1
     columns = n - 1 - offsets[-1]
-    starts = [0, *(np.flatnonzero(np.diff(columns) != 1) + 1).tolist()]
+    starts = [0, *((columns[1:] - columns[:-1] != 1).nonzero()[0] + 1).tolist()]
     stops = starts[1:] + [len(columns)]
     return OffsetEncodings(
         offsets=np.arange(n),

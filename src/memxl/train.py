@@ -132,7 +132,7 @@ def evaluate(
         raise ValueError(f"eval_context ({eval_context}) must be >= eval_block ({eval_block})")
     if len(ids) < eval_block:
         raise ValueError(f"split of {len(ids)} tokens is shorter than one block of {eval_block}")
-    if ids.min() < 0 or ids.max() >= model.config.vocab_size:
+    if np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= model.config.vocab_size:
         raise ValueError(f"token id out of range [0, {model.config.vocab_size})")
     n_scored = len(ids) - 1
     if n_scored < 1:
@@ -152,7 +152,7 @@ def evaluate(
             token_nll, _, _ = ad.token_nll(logits.data[0], ids[start + 1 : stop + 1])  # [S * L, 1]
             for a in range(0, stop - start, eval_block):
                 block = token_nll[a : a + eval_block]
-                total += float(block.mean()) * len(block)
+                total += ad.array_mean(block, None).item() * len(block)
             start = stop
     nll = total / n_scored
     try:

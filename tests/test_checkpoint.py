@@ -1,4 +1,5 @@
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -62,13 +63,14 @@ class TestFormatGuards:
             load_checkpoint(path)
 
     def test_file_cut_anywhere_is_rejected(self, tmp_path):
-        """Inside the length field, just after it, inside the header, at the
-        header's last byte, in the first array or the last."""
+        """Inside the magic (an empty file too), inside the length field, just
+        after it, inside the header, at the header's last byte, in the first
+        array or the last."""
         path = tmp_path / "cut.ckpt"
         save_checkpoint(path, {"a": 1}, {"x": np.ones(10), "y": np.arange(3)})
         blob = path.read_bytes()
         header_end = 12 + int.from_bytes(blob[4:12], "little")
-        for size in (8, 12, 20, header_end - 1, len(blob) - 100, len(blob) - 1):
+        for size in (0, 1, 2, 3, 8, 12, 20, header_end - 1, len(blob) - 100, len(blob) - 1):
             path.write_bytes(blob[:size])
             with pytest.raises(ValueError, match="truncated"):
                 load_checkpoint(path)
@@ -121,6 +123,33 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert load_checkpoint(path)[0] == {"step": 1}
         assert os.listdir(tmp_path) == ["state.ckpt"]
+
+
+class TestDurability:
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_directory_is_fsynced_after_the_replace(self, tmp_path, monkeypatch, relative):
+        """The temporary file's data is fsynced before the rename, and a
+        descriptor of the checkpoint's directory after it, so the new entry
+        survives a crash too."""
+        events, fsync, replace = [], os.fsync, os.replace
+
+        def record_fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", st.st_ino, stat.S_ISDIR(st.st_mode)))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, False))
+            replace(src, dst)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        save_checkpoint("state.ckpt" if relative else tmp_path / "state.ckpt", {}, {"x": np.ones(3)})
+        monkeypatch.undo()
+        file, directory = os.stat(tmp_path / "state.ckpt").st_ino, os.stat(tmp_path).st_ino  # a rename keeps the inode
+        assert events == [("fsync", file, False), ("replace", file, False), ("fsync", directory, True)]
+        assert load_checkpoint(tmp_path / "state.ckpt")[1]["x"].tolist() == [1.0, 1.0, 1.0]
 
 
 class TestMemory:

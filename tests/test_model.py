@@ -336,13 +336,13 @@ class TestGraphSize:
         assert graph_size(ad.cross_entropy(logits, tokens[2])) == want
 
     def test_recorded_step_holds_no_array_it_can_rebuild(self):
-        """A crossed step over a full memory holds 30,944 bytes in its VJPs
-        (34,720 with the leaves' values; 43,624 when every node also kept its
+        """A crossed step over a full memory holds 30,880 bytes in its VJPs
+        (34,656 with the leaves' values; 43,560 when every node also kept its
         own output). A ReLU VJP that read its input, an attention VJP that
         kept q + u, q + v or its head outputs, a layer norm VJP that kept its
-        normalised rows, or a memory buffer that viewed its joined rows, would
-        hold more."""
-        assert held_bytes(crossed_step(fresh_model())) == 30_944
+        normalised rows, a concat VJP that kept its split points as an array,
+        or a memory buffer that viewed its joined rows, would hold more."""
+        assert held_bytes(crossed_step(fresh_model())) == 30_880
 
     def test_no_vjp_keeps_a_tensor(self):
         """A node reaches its inputs' values only through the arrays its VJP
