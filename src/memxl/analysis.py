@@ -3,14 +3,15 @@ expected-context accounting, and finite-difference gradient checks."""
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .attention import HeadAssignment
-from .autodiff import FiniteDiffReport, finite_diff_check
+from .autodiff import FiniteDiffReport, Tensor, finite_diff_check
 from .data import batchify
 from .model import LayerTrace, MemoryLM, ModelConfig
 from .rng import RngHub
@@ -73,6 +74,21 @@ class PruneReport:
         return out
 
 
+def prune_heads(model: MemoryLM, keep) -> MemoryLM:
+    """A shallow copy of ``model`` for evaluation without the heads that
+    ``keep``, an [N, H] boolean array, marks False: it shares every parameter
+    but each such layer's ``w_o``, a copy with those heads' columns zero."""
+    cfg, keep = model.config, np.asarray(keep, dtype=bool)
+    if keep.shape != (cfg.n_layers, cfg.n_heads) or not keep.any(axis=1).all():
+        raise ValueError(f"keep must be {cfg.n_layers} x {cfg.n_heads} with an unpruned head in each layer: {keep.tolist()}")
+    pruned = copy.copy(model)
+    pruned.layers = list(model.layers)
+    for i in np.flatnonzero(~keep.all(axis=1)):  # head h's columns of w_o: h*d_h .. (h+1)*d_h-1
+        w_o = Tensor(np.where(keep[i].repeat(cfg.d_head), model.layers[i].attn.w_o.data, 0.0))
+        pruned.layers[i] = replace(model.layers[i], attn=replace(model.layers[i].attn, w_o=w_o))
+    return pruned
+
+
 def run_prune_experiment(
     model: MemoryLM,
     ids: np.ndarray,
@@ -100,7 +116,7 @@ def run_prune_experiment(
         for head in range(n_heads):
             keep = np.ones((n_layers, n_heads), dtype=bool)
             keep[layer, head] = False
-            delta[layer, head] = evaluate(model, ids, eval_context, eval_block, prune=keep).ppl - baseline.ppl
+            delta[layer, head] = evaluate(prune_heads(model, keep), ids, eval_context, eval_block).ppl - baseline.ppl
     stddev = np.array([sample_stddev(row) for row in delta])
     change = None
     if reference_stddev is not None:

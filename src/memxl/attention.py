@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .relpos import OffsetEncodings
+from .rng import normal
 
 
 @dataclass
@@ -73,14 +74,10 @@ class LayerAttentionParams:
     u: Tensor     # [d_h]
     v: Tensor     # [d_h]
 
-    @property
-    def d_head(self) -> int:
-        return self.w_q.shape[1]
-
     @staticmethod
     def init(n_heads: int, d_head: int, d_model: int, std: float, rng: np.random.Generator, dtype) -> "LayerAttentionParams":
         def w(*shape):
-            return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
+            return Tensor(normal(rng, std, shape, dtype), requires_grad=True)
 
         return LayerAttentionParams(
             w_q=w(n_heads, d_head, d_model),
@@ -116,25 +113,21 @@ def multi_head_forward(
     enc: OffsetEncodings,
     params: LayerAttentionParams,
     positions: Tensor,
-    prune: np.ndarray | None = None,
     grids: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Attention sublayer body on [..., L, d] normalised query rows: query
     projection, the fused attention core (head split, scores, softmax and
-    merged head outputs in one node), pruning and output projection.
+    merged head outputs in one node) and output projection.
     Returns [..., L, d].
 
     ``keys`` and ``values`` are the [..., K, H * d_h] rows the queries attend
     to, the memory's first and the block's own last, projected with the same
     (possibly crossed) ``params``. ``positions`` holds the [1, n, H * d_h]
     position keys of ``enc`` (``position_keys``). Cross-head matching
-    happens before this call, in ``params.crossed``. ``prune``, a boolean
-    [H] row, keeps the heads it marks. ``grids``, under ``no_grad`` only,
-    are the flat buffers whose fronts the core writes its score grids into
-    (``ad.attention_core``).
+    happens before this call, in ``params.crossed``. ``grids``, under
+    ``no_grad`` only, are the flat buffers whose fronts the core writes its
+    score grids into (``ad.attention_core``).
     """
     q = ad.linear(x_n, params.w_q)
     merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc, grids)  # [..., L, H * d_h]
-    if prune is not None:
-        merged = ad.mul(merged, Tensor(prune.repeat(params.d_head).astype(merged.dtype)))
     return ad.linear(merged, params.w_o)

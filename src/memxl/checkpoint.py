@@ -76,16 +76,14 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     if header.get("version") != VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-    base = 12 + header_len
-    arrays = {}
-    for e in header["arrays"]:
-        if base + e["offset"] + e["nbytes"] > len(blob):
+    base, offset, arrays = 12 + header_len, 0, {}
+    for e in header["arrays"]:  # written back to back, each exactly its shape's bytes
+        dtype, count = np.dtype(e["dtype"]), int(np.prod(e["shape"], dtype=np.int64))
+        if e["nbytes"] != dtype.itemsize * count or e["offset"] != offset:
+            raise ValueError(f"{path}: array {e['name']!r} claims {e['nbytes']} bytes at offset {e['offset']}, but "
+                             f"shape {e['shape']} of {dtype} is {dtype.itemsize * count} bytes at offset {offset}")
+        if base + offset + e["nbytes"] > len(blob):
             raise ValueError(f"{path} is truncated: array {e['name']!r} ends past the file's {len(blob)} bytes")
-        arr = np.frombuffer(
-            blob,
-            dtype=np.dtype(e["dtype"]),
-            count=int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 1,
-            offset=base + e["offset"],
-        )
-        arrays[e["name"]] = arr.reshape(e["shape"])
+        arrays[e["name"]] = np.frombuffer(blob, dtype, count, base + offset).reshape(e["shape"])
+        offset += e["nbytes"]
     return header["meta"], arrays

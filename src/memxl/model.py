@@ -21,6 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .attention import HeadAssignment, LayerAttentionParams, multi_head_forward, position_keys
 from .relpos import OffsetEncodings, block_tags, encode_offsets, relative_offsets
+from .rng import normal
 
 
 @dataclass
@@ -77,7 +78,7 @@ class LayerParams:
         dt = cfg.dtype
 
         def w(*shape):
-            return Tensor(rng.normal(0.0, cfg.init_std, size=shape).astype(dt), requires_grad=True)
+            return Tensor(normal(rng, cfg.init_std, shape, dt), requires_grad=True)
 
         def ones(n):
             return Tensor(np.ones(n, dtype=dt), requires_grad=True)
@@ -343,10 +344,7 @@ class MemoryLM:
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         dt = config.dtype
-        self.embedding = Tensor(
-            rng.normal(0.0, config.init_std, size=(config.vocab_size, config.d_model)).astype(dt),
-            requires_grad=True,
-        )
+        self.embedding = Tensor(normal(rng, config.init_std, (config.vocab_size, config.d_model), dt), requires_grad=True)
         self.layers = [LayerParams.init(config, rng) for _ in range(config.n_layers)]
         self.ln_out_g = Tensor(np.ones(config.d_model, dtype=dt), requires_grad=True)
         self.ln_out_b = Tensor(np.zeros(config.d_model, dtype=dt), requires_grad=True)
@@ -382,7 +380,6 @@ class MemoryLM:
         mems: MemoryState | StreamState,
         skip_mask: np.ndarray | None = None,
         assignments: list[HeadAssignment] | None = None,
-        prune: np.ndarray | None = None,
         training: bool = False,
         dropout_rng: np.random.Generator | None = None,
         record: list[LayerTrace] | None = None,
@@ -426,10 +423,6 @@ class MemoryLM:
             raise ValueError(f"skip mask must have length {cfg.n_layers}, got shape {skip_mask.shape}")
         if assignments is not None and len(assignments) != cfg.n_layers:
             raise ValueError(f"need one head assignment per layer, got {len(assignments)}")
-        if prune is not None:
-            prune = np.asarray(prune, dtype=bool)
-            if prune.shape != (cfg.n_layers, cfg.n_heads):
-                raise ValueError(f"prune mask must have shape {(cfg.n_layers, cfg.n_heads)}, got {prune.shape}")
 
         h = ad.index_rows(self.embedding, blocks)
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
@@ -452,8 +445,7 @@ class MemoryLM:
             x_n = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
             # the layer attends to its memory's rows followed by the block's
             keys, values = lm.join(ad.linear(x_n, attn_params.w_ke), ad.linear(x_n, attn_params.w_v), lp, attn_params)
-            prune_i = prune[i] if prune is not None else None
-            attn = multi_head_forward(x_n, keys, values, enc, attn_params, positions, prune_i, grids)
+            attn = multi_head_forward(x_n, keys, values, enc, attn_params, positions, grids)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 

@@ -13,6 +13,12 @@ import numpy as np
 PURPOSES = ("init", "dropout", "skip", "heads", "data")
 
 
+def normal(rng: np.random.Generator, std: float, shape, dtype) -> np.ndarray:
+    """``rng.normal(0.0, std, shape).astype(dtype)`` bit for bit, from the
+    same draws (numpy's ``normal`` is ``loc + scale * z``), but faster."""
+    return (std * rng.standard_normal(shape) + 0.0).astype(dtype, copy=False)
+
+
 class RngHub:
     """Master seed plus one independent generator per purpose."""
 

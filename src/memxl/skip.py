@@ -202,10 +202,8 @@ class PhaseController:
 
     @staticmethod
     def from_state(state: dict) -> "PhaseController":
-        ctrl = PhaseController(window=int(state["window"]), threshold=float(state["threshold"]))
-        ctrl.phase = state["phase"]
-        ctrl.history = [(int(s), float(p)) for s, p in state["history"]]
         ts = state["transition_step"]
-        ctrl.transition_step = None if ts is None else int(ts)
-        return ctrl
+        return PhaseController(int(state["window"]), float(state["threshold"]), phase=state["phase"],
+                               history=[(int(s), float(p)) for s, p in state["history"]],
+                               transition_step=None if ts is None else int(ts))
 

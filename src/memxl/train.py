@@ -102,7 +102,6 @@ def evaluate(
     ids: np.ndarray,
     eval_context: int,
     eval_block: int,
-    prune: np.ndarray | None = None,
 ) -> EvalReport:
     """Stream a split in ``eval_block`` blocks with recurrent memory sized
     ``eval_context - eval_block`` and average NLL over every scored token.
@@ -137,8 +136,6 @@ def evaluate(
     n_scored = len(ids) - 1
     if n_scored < 1:
         raise ValueError("split too short to score any token")
-    if prune is not None and not np.asarray(prune, dtype=bool).any(axis=-1).all():
-        raise ValueError("every layer needs at least one unpruned head to report perplexity")
 
     mem_len = eval_context - eval_block
     chunk = max(1, min(EVAL_SCORES // (model.config.n_heads * eval_block * eval_context), n_scored // eval_block))
@@ -148,7 +145,7 @@ def evaluate(
         while start < n_scored:
             blocks = min(chunk if start >= mem_len else 1, (n_scored - start) // eval_block)
             stop = start + blocks * eval_block if blocks else n_scored
-            logits, mems = model.forward(ids[start:stop][None, :], mems, prune=prune)
+            logits, mems = model.forward(ids[start:stop][None, :], mems)
             token_nll, _, _ = ad.token_nll(logits.data[0], ids[start + 1 : stop + 1])  # [S * L, 1]
             for a in range(0, stop - start, eval_block):
                 block = token_nll[a : a + eval_block]
@@ -208,7 +205,7 @@ class Trainer:
         self.log_path = log_path
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        if log_path is not None and not os.path.exists(log_path):
+        if log_path is not None:  # a new run starts a new log; ``load`` resumes into the old one
             _ensure_parent(log_path)
             with open(log_path, "w") as f:
                 f.write(LOG_HEADER + "\n")
@@ -345,18 +342,11 @@ class Trainer:
         model = MemoryLM(mcfg, hub["init"])
         hub.load_state(meta["rng"])
         vocab = Vocabulary.from_dict(meta["vocab"]) if meta.get("vocab") else None
-
-        trainer = Trainer(
-            model,
-            cfg,
-            batches,
-            eval_ids,
-            hub,
-            vocab=vocab,
-            log_path=log_path,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-        )
+        # the resumed run's rows go on after the old ones: only a missing log gets a new header
+        old_log = log_path is not None and os.path.exists(log_path)
+        trainer = Trainer(model, cfg, batches, eval_ids, hub, vocab=vocab, log_path=None if old_log else log_path,
+                          checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every)
+        trainer.log_path = log_path
         _restore_parameters(model, arrays)
         adam = trainer.adam
         for (name, _, _), m, v in zip(adam.table, adam.views(adam.m), adam.views(adam.v)):

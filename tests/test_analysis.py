@@ -11,6 +11,7 @@ from memxl.analysis import (
     grad_check_model,
     pct_change,
     position_audit,
+    prune_heads,
     run_prune_experiment,
     sample_stddev,
 )
@@ -37,6 +38,30 @@ class TestStatistics:
         assert pct_change(2.0, 1.0) == 100.0
         with pytest.raises(ValueError):
             pct_change(1.0, 0.0)
+
+
+class TestPruneHeads:
+    def test_copy_shares_all_but_the_pruned_layers_w_o(self):
+        model = MemoryLM(tiny_config(), RngHub(0)["init"])
+        before = {name: p.data.tobytes() for name, p in model.named_parameters()}
+        copy = prune_heads(model, [[True, True], [False, True]])
+        assert copy is not model and copy.layers is not model.layers
+        for (name, p), (_, q) in zip(model.named_parameters(), copy.named_parameters(), strict=True):
+            assert (p is q) == (name != "layers.1.attn.w_o"), name
+            assert p.data.tobytes() == before[name], name  # the model itself is untouched
+        w_o = copy.layers[1].attn.w_o.data
+        d_head = model.config.d_head
+        assert not w_o[:, :d_head].any()
+        assert w_o[:, d_head:].tobytes() == model.layers[1].attn.w_o.data[:, d_head:].tobytes()
+
+    def test_sweep_evaluates_the_pruned_copies(self, trained_lm):
+        model, ids = trained_lm
+        report = run_prune_experiment(model, ids[:300], 32, 16)
+        keep = np.ones((2, 2), dtype=bool)
+        keep[1, 0] = False
+        pruned = evaluate(prune_heads(model, keep), ids[:300], 32, 16).ppl
+        assert report.delta[1, 0] == pruned - report.baseline_ppl
+        assert evaluate(model, ids[:300], 32, 16).ppl == report.baseline_ppl
 
 
 class TestPruneExperiment:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import memxl.autodiff as ad
-from memxl import attention
+from memxl import MemoryLM, ModelConfig, attention
+from memxl.analysis import prune_heads
 from memxl.attention import HeadAssignment, LayerAttentionParams, sample_head_assignment
 from memxl.relpos import encode_offsets, relative_offsets
 
@@ -49,7 +50,18 @@ def oracle_forward(x_block, memory, query_tags, key_tags, params, sigma, prune=N
     return np.concatenate(head_outs, axis=-1) @ params.w_o.data.T
 
 
-def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None, prune=None):
+def pruned(params, keep):
+    """``params`` as ``prune_heads`` leaves them in a one-layer model, with
+    the heads that ``keep`` marks False pruned."""
+    n_heads, d_head, d_model = params.w_q.shape
+    cfg = ModelConfig(n_layers=1, d_model=d_model, d_inner=1, n_heads=n_heads, d_head=d_head, mem_len=0,
+                      block_len=1, vocab_size=1)
+    model = MemoryLM(cfg, np.random.default_rng(0))
+    model.layers[0].attn = params
+    return prune_heads(model, np.asarray(keep)[None]).layers[0].attn
+
+
+def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None):
     """Attention sublayer on one sequence [L, d] or a batch [B, L, d]; the
     output has the shape of ``x_block``."""
     offsets = relative_offsets(query_tags, key_tags)
@@ -62,7 +74,7 @@ def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None, 
         keys = ad.concat([ad.linear(mem_t, params.w_ke), keys], axis=1)
         values = ad.concat([ad.linear(mem_t, params.w_v), values], axis=1)
     positions = attention.position_keys(enc, params.w_kr)
-    out = attention.multi_head_forward(x_t, keys, values, enc, params, positions, prune)
+    out = attention.multi_head_forward(x_t, keys, values, enc, params, positions)
     out.data = out.data.reshape(x_block.shape)  # the output projection's VJP reads its gradient flat
     return out
 
@@ -100,7 +112,7 @@ class TestForwardOracle:
         want = oracle_forward(x, mem, q_tags, key_tags, params, sigma=None)
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("prune", [None, np.array([True, False, True])], ids=["all_heads", "pruned"])
+    @pytest.mark.parametrize("prune", [None, np.array([True, True, False])], ids=["all_heads", "pruned"])
     @pytest.mark.parametrize("sigma", [None, np.array([2, 0, 1])], ids=["identity", "crossed"])
     def test_matches_loop_oracle_batched(self, rng, sigma, prune):
         params = make_params(rng)
@@ -110,7 +122,7 @@ class TestForwardOracle:
         q_tags = np.arange(3, 7)
         key_tags = np.concatenate([mem_tags, q_tags])
         assignment = None if sigma is None else HeadAssignment(sigma=sigma, cross_active=True)
-        got = run_forward(x, mem, q_tags, key_tags, params, assignment, prune)
+        got = run_forward(x, mem, q_tags, key_tags, params if prune is None else pruned(params, prune), assignment)
         assert got.shape == (2, 4, 6)
         for b in range(2):
             want = oracle_forward(x[b], mem[b], q_tags, key_tags, params, sigma=sigma, prune=prune)
@@ -138,49 +150,38 @@ class TestForwardOracle:
 
 
 class TestPruning:
+    """``prune_heads`` against the loop oracle, which silences a head's output."""
+
     def test_prune_matches_loop_oracle(self, rng):
         params = make_params(rng)
         x = rng.standard_normal((3, 6))
         q_tags = np.arange(3)
-        prune = np.array([True, False, True])
-        got = run_forward(x, None, q_tags, q_tags, params, prune=prune)
+        prune = np.array([False, True, True])
+        got = run_forward(x, None, q_tags, q_tags, pruned(params, prune))
         want = oracle_forward(x, None, q_tags, q_tags, params, sigma=None, prune=prune)
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
 
     def test_all_kept_equals_no_mask(self, rng):
         params = make_params(rng)
-        x = rng.standard_normal((3, 6))
-        q_tags = np.arange(3)
-        base = run_forward(x, None, q_tags, q_tags, params)
-        masked = run_forward(x, None, q_tags, q_tags, params, prune=np.ones(3, dtype=bool))
-        np.testing.assert_array_equal(base.data, masked.data)
+        assert pruned(params, np.ones(3, dtype=bool)) is params
 
     def test_pruned_head_equals_zeroed_output_columns(self, rng):
         params = make_params(rng)
-        x = rng.standard_normal((3, 6))
-        q_tags = np.arange(3)
-        pruned = run_forward(x, None, q_tags, q_tags, params, prune=np.array([True, False, True]))
-
+        clone = pruned(params, [True, False, True])
         w_o_zeroed = params.w_o.data.copy()
         w_o_zeroed[:, 2:4] = 0.0  # head 1 owns columns [d_head, 2*d_head)
-        clone = LayerAttentionParams(
-            w_q=params.w_q, w_ke=params.w_ke, w_kr=params.w_kr, w_v=params.w_v,
-            w_o=ad.Tensor(w_o_zeroed), u=params.u, v=params.v,
-        )
-        direct = run_forward(x, None, q_tags, q_tags, clone)
-        np.testing.assert_allclose(pruned.data, direct.data, rtol=1e-12, atol=1e-15)
+        assert clone.w_o.data.tobytes() == w_o_zeroed.tobytes()
+        assert clone.w_o is not params.w_o and not clone.w_o.requires_grad
+        for name in ("w_q", "w_ke", "w_kr", "w_v", "u", "v"):
+            assert getattr(clone, name) is getattr(params, name)
 
-    def test_all_pruned_gives_zero_output(self, rng):
-        params = make_params(rng)
-        x = rng.standard_normal((3, 6))
-        out = run_forward(x, None, np.arange(3), np.arange(3), params, prune=np.zeros(3, dtype=bool))
-        np.testing.assert_array_equal(out.data, np.zeros((3, 6)))
+    def test_all_pruned_layer_rejected(self, rng):
+        with pytest.raises(ValueError, match="unpruned head in each layer"):
+            pruned(make_params(rng), np.zeros(3, dtype=bool))
 
     def test_wrong_mask_length_rejected(self, rng):
-        params = make_params(rng)
-        x = rng.standard_normal((3, 6))
-        with pytest.raises(ValueError):
-            run_forward(x, None, np.arange(3), np.arange(3), params, prune=np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="keep must be 1 x 3"):
+            pruned(make_params(rng), np.ones(2, dtype=bool))
 
 
 def core_probs(x, keys, enc, params):
@@ -273,7 +274,7 @@ class TestCrossHeadGradients:
         q_tags = np.arange(3)
         assignment = HeadAssignment(sigma=np.array([1, 0]), cross_active=True)
         # keep only query head 0, whose key/value side is head 1
-        out = run_forward(x, None, q_tags, q_tags, params, assignment, prune=np.array([True, False]))
+        out = run_forward(x, None, q_tags, q_tags, pruned(params, [True, False]), assignment)
         ad.backward(sum_(out))
 
         assert np.abs(params.w_q.grad[0]).max() > 0

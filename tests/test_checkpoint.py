@@ -1,3 +1,4 @@
+import json
 import os
 import stat
 import tracemalloc
@@ -74,6 +75,31 @@ class TestFormatGuards:
             path.write_bytes(blob[:size])
             with pytest.raises(ValueError, match="truncated"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            ({"shape": [8]}, "a"),                    # the next array's bytes would fill it
+            ({"shape": [8], "nbytes": 64}, "b"),      # then b no longer starts where a ends
+            ({"nbytes": 16}, "a"),                    # fewer bytes than its shape
+            ({"offset": 8}, "a"),                     # a gap before the first array
+            ({"dtype": "<i4"}, "a"),                  # the same bytes as twice the entries
+        ],
+        ids=["shape", "shape_and_nbytes", "nbytes", "offset", "dtype"],
+    )
+    def test_entry_must_fill_its_place_exactly(self, tmp_path, edit, name):
+        """Each array is exactly its shape's bytes, right after the one
+        before it; a header that says otherwise names the entry."""
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(path, {}, {"a": np.arange(4), "b": np.arange(10, 14)})
+        blob = path.read_bytes()
+        end = 12 + int.from_bytes(blob[4:12], "little")
+        header = json.loads(blob[12:end])
+        header["arrays"][0].update(edit)
+        new = json.dumps(header).encode()
+        path.write_bytes(MAGIC + len(new).to_bytes(8, "little") + new + blob[end:])
+        with pytest.raises(ValueError, match=f"array '{name}' claims"):
+            load_checkpoint(path)
 
     def test_magic_is_stable(self, tmp_path):
         path = tmp_path / "state.ckpt"

@@ -53,6 +53,16 @@ class TestTrain:
         assert log[0].startswith("step\tphase")
         assert len(log) == 31
 
+    def test_a_second_run_replaces_the_log(self, workspace, tmp_path, capsys):
+        _, _, cfg = workspace
+        argv = ["train", "--config", str(cfg), "--set", "steps=5", "--set", f"checkpoint={tmp_path / 'r.ckpt'}",
+                "--set", f"log={tmp_path / 'r.log'}"]
+        for _ in range(2):
+            assert main(argv) == 0
+            log = (tmp_path / "r.log").read_text().splitlines()
+            assert log[0].startswith("step\tphase")
+            assert [int(row.split("\t")[0]) for row in log[1:]] == [1, 2, 3, 4, 5]
+
     def test_checkpoint_is_loadable(self, workspace):
         root, _, _ = workspace
         model, vocab = load_model(root / "run.ckpt")

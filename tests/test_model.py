@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import memxl.autodiff as ad
+import memxl.attention as attention_module
 import memxl.model as model_module
 from conftest import tiny_config
 from helpers import reachable
@@ -22,6 +23,26 @@ def ln_ref(x, g, b, eps=1e-5):
 def fresh_model(**overrides):
     hub = RngHub(0)
     return MemoryLM(tiny_config(**overrides), hub["init"])
+
+
+D128 = dict(n_layers=4, d_model=128, d_inner=512, n_heads=4, d_head=32, mem_len=64, block_len=64, vocab_size=128)
+
+
+class TestInit:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape", [{}, D128], ids=["tiny", "d128"])
+    def test_parameters_and_streams_match_numpy_normal(self, monkeypatch, shape, dtype):
+        """``rng.normal`` as the initialiser gives every parameter the same
+        bytes and leaves every hub stream in the same state."""
+        def build():
+            hub = RngHub(7)
+            model = MemoryLM(tiny_config(**shape, param_dtype=dtype), hub["init"])
+            return [(name, p.data.dtype, p.data.tobytes()) for name, p in model.named_parameters()], hub.state_dict()
+
+        new = build()
+        for module in (model_module, attention_module):
+            monkeypatch.setattr(module, "normal", lambda rng, std, size, dt: rng.normal(0.0, std, size=size).astype(dt))
+        assert build() == new
 
 
 class TestUpdateMemory:
@@ -166,7 +187,6 @@ class TestForwardSemantics:
             model.init_memory(1),
             skip_mask=np.zeros(2, dtype=bool),
             assignments=[HeadAssignment.identity(2) for _ in range(2)],
-            prune=np.ones((2, 2), dtype=bool),
         )
         assert base.data.tobytes() == explicit.data.tobytes()
 
@@ -463,8 +483,6 @@ class TestValidation:
             model.forward(np.array([[1, 2]]), mems, skip_mask=np.zeros(3, dtype=bool))
         with pytest.raises(ValueError, match="head assignment"):
             model.forward(np.array([[1, 2]]), mems, assignments=[HeadAssignment.identity(2)])
-        with pytest.raises(ValueError, match="prune"):
-            model.forward(np.array([[1, 2]]), mems, prune=np.ones((1, 2), dtype=bool))
 
     def test_config_checks(self):
         with pytest.raises(ValueError, match="even"):

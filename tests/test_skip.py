@@ -195,6 +195,14 @@ class TestPhaseController:
         a, b = copy.deepcopy(ctrl), clone
         assert a.observe(10, 9.85) == b.observe(10, 9.85)
 
+    @pytest.mark.parametrize("field, value, match", [("phase", "bogus", "unknown phase"), ("window", 0, "window"),
+                                                      ("threshold", 0.0, "threshold")])
+    def test_state_is_checked_like_the_constructor(self, field, value, match):
+        state = PhaseController(window=5, threshold=0.2).state_dict()
+        state[field] = value
+        with pytest.raises(ValueError, match=match):
+            PhaseController.from_state(state)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseController(window=0, threshold=0.2)

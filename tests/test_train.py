@@ -16,6 +16,7 @@ import memxl.model as model_module
 from conftest import PANGRAM_TEXT, tiny_config
 from helpers import reachable
 from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule, TrainConfig, Trainer, train
+from memxl.analysis import prune_heads
 from memxl.attention import HeadAssignment
 from memxl.checkpoint import load_checkpoint, save_checkpoint
 from memxl.data import batchify, corpus_from_text
@@ -75,7 +76,7 @@ class TestEvaluate:
         model, _ = tiny_model
         ids = make_ids(40)
         base = evaluate(model, ids, 8, 4)
-        kept = evaluate(model, ids, 8, 4, prune=np.ones((2, 2), dtype=bool))
+        kept = evaluate(prune_heads(model, np.ones((2, 2), dtype=bool)), ids, 8, 4)
         assert base.nll == kept.nll
 
     def test_validation(self, tiny_model):
@@ -84,10 +85,6 @@ class TestEvaluate:
             evaluate(model, make_ids(3), 8, 4)
         with pytest.raises(ValueError, match="must be >="):
             evaluate(model, make_ids(40), 2, 4)
-        dead_layer = np.ones((2, 2), dtype=bool)
-        dead_layer[1] = False
-        with pytest.raises(ValueError, match="unpruned head"):
-            evaluate(model, make_ids(40), 8, 4, prune=dead_layer)
         for last in (-1, 11):  # the last id is only ever a target, never a forward input
             ids = make_ids(40)
             ids[-1] = last
@@ -110,7 +107,7 @@ class TestEvaluate:
         assert with_memory.nll <= no_memory.nll + 0.02
 
 
-def reference_nll(model, ids, eval_context, eval_block, prune=None):
+def reference_nll(model, ids, eval_context, eval_block):
     """Streaming NLL from MemoryLM.forward over a plain MemoryState, which
     normalises and projects every memory row again on every block."""
     n_scored = len(ids) - 1
@@ -119,7 +116,7 @@ def reference_nll(model, ids, eval_context, eval_block, prune=None):
     with ad.no_grad():
         for start in range(0, n_scored, eval_block):
             stop = min(start + eval_block, n_scored)
-            logits, mems = model.forward(ids[start:stop][None, :], mems, prune=prune)
+            logits, mems = model.forward(ids[start:stop][None, :], mems)
             total += float(ad.cross_entropy(logits, ids[start + 1 : stop + 1][None, :]).data) * (stop - start)
     return total / n_scored
 
@@ -147,10 +144,9 @@ class TestStreamingEvaluation:
     )
     def test_matches_plain_forward_loop(self, n_ids, context, block, dtype, prune):
         model = MemoryLM(tiny_config(param_dtype=dtype), RngHub(0)["init"])
+        model = model if prune is None else prune_heads(model, prune)
         ids = make_ids(n_ids)
-        prune = None if prune is None else np.array(prune)
-        got = evaluate(model, ids, context, block, prune=prune).nll
-        assert got == reference_nll(model, ids, context, block, prune)
+        assert evaluate(model, ids, context, block).nll == reference_nll(model, ids, context, block)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_one_token_blocks_match_to_rounding(self, block):
@@ -338,10 +334,10 @@ class TestChunkedEvaluation:
     )
     def test_matches_plain_forward_loop(self, monkeypatch, segments, n_ids, context, block, dtype, prune):
         model = MemoryLM(tiny_config(param_dtype=dtype), RngHub(0)["init"])
+        model = model if prune is None else prune_heads(model, prune)
         ids = make_ids(n_ids)
-        prune = None if prune is None else np.array(prune)
         blocks_per_call(monkeypatch, model, context, block, segments)
-        assert evaluate(model, ids, context, block, prune=prune).nll == reference_nll(model, ids, context, block, prune)
+        assert evaluate(model, ids, context, block).nll == reference_nll(model, ids, context, block)
 
     @CHUNKS
     def test_trained_model_matches_plain_forward_loop(self, monkeypatch, trained_lm, segments):
@@ -910,6 +906,26 @@ class TestTrainHelper:
         # evaluation defaults to the training split
         assert trainer.log[2].eval_ppl is not None
         assert log_path.read_text().startswith(LOG_HEADER)
+
+    def test_fresh_run_starts_a_new_log_and_a_resumed_one_appends(self, tmp_path):
+        ids = make_ids(120)
+        cfg = TrainConfig(steps=4, eval_interval=100, eval_context=8, eval_block=4, seed=1)
+        log, ckpt = tmp_path / "train.log", tmp_path / "train.ckpt"
+
+        def steps_logged(path):
+            lines = path.read_text().splitlines()
+            assert lines[0] == LOG_HEADER and LOG_HEADER not in lines[1:]
+            return [int(line.split("\t")[0]) for line in lines[1:]]
+
+        for _ in range(2):
+            hub = RngHub(cfg.seed)
+            train(MemoryLM(tiny_config(), hub["init"]), ids, cfg, hub, log_path=str(log), checkpoint_path=str(ckpt),
+                  checkpoint_every=2)
+            assert steps_logged(log) == [1, 2, 3, 4]
+        for path, want in ((log, [1, 2, 3, 4, 5, 6]), (tmp_path / "new.log", [5, 6])):
+            resumed = Trainer.load(ckpt, batchify(ids, 1, 4), ids, log_path=str(path))
+            resumed.run(until=6)
+            assert steps_logged(path) == want
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="eval_context"):
