@@ -19,8 +19,6 @@ Contract notes:
     view of ``AdamState.grad``) accumulates its grad there, in place, and its
     ``grad`` is that view. The next step overwrites it and clipping scales it
     in place, so a caller that keeps a grad must copy it.
-  * ``Tensor.detach`` is a stop-gradient boundary: nothing behind it
-    ever accumulates grad.
   * The hot path calls numpy's C entry points, never a numpy function
     written in Python around one, whose frame costs as much as a small op.
 """
@@ -121,10 +119,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self) -> "Tensor":
-        """Stop-gradient boundary: same values, no history, never accumulates grad."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None

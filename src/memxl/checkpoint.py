@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 MAGIC = b"MXCK"
-VERSION = 1
+VERSION = 2
 
 
 def _little_endian(arr: np.ndarray) -> np.ndarray:
@@ -74,8 +74,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if len(blob) < 12 + header_len:
         raise ValueError(f"{path} is truncated: {len(blob)} bytes, shorter than its {header_len}-byte header")
     header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    if header.get("version") != VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+    if (version := header.get("version")) != VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}; this memxl reads version {VERSION}")
     base, offset, arrays = 12 + header_len, 0, {}
     for e in header["arrays"]:  # written back to back, each exactly its shape's bytes
         dtype, count = np.dtype(e["dtype"]), int(np.prod(e["shape"], dtype=np.int64))

@@ -32,6 +32,12 @@ class RunConfig:
             raise ValueError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
 
 
+def _split_kv(item: str) -> tuple[str, str] | None:
+    """``key = value`` split at the first ``=`` and stripped; None if a side is empty or there is no ``=``."""
+    key, _, value = (part.strip() for part in item.partition("="))
+    return (key, value) if key and value else None
+
+
 def parse_kv(text: str) -> dict[str, str]:
     """``key = value`` per line; blank lines and # comments ignored."""
     out: dict[str, str] = {}
@@ -39,13 +45,10 @@ def parse_kv(text: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ValueError(f"config line {lineno}: empty key or value in {raw.strip()!r}")
-        out[key] = value
+        pair = _split_kv(line)
+        if pair is None:
+            raise ValueError(f"config line {lineno}: expected key = value, no empty key or value, got {raw.strip()!r}")
+        out[pair[0]] = pair[1]
     return out
 
 
@@ -56,13 +59,10 @@ def read_config(path) -> dict[str, str]:
 def apply_overrides(kv: dict[str, str], overrides: list[str]) -> dict[str, str]:
     out = dict(kv)
     for item in overrides:
-        if "=" not in item:
+        pair = _split_kv(item)
+        if pair is None:
             raise ValueError(f"override must look like key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ValueError(f"override must look like key=value, got {item!r}")
-        out[key] = value
+        out[pair[0]] = pair[1]
     return out
 
 

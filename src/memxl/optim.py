@@ -36,6 +36,15 @@ def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
     return total
 
 
+def arena_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of ``flat`` at ``shapes``, back to back: the arena's layout, given its parameters' shapes."""
+    out, end = [], 0
+    for shape in shapes:
+        start, end = end, end + math.prod(shape)
+        out.append(flat[start:end].reshape(shape))
+    return out
+
+
 class AdamState:
     """Adam's step count and moments over a flat parameter arena.
 
@@ -58,22 +67,14 @@ class AdamState:
         self.params, self.m, self.v, self.grad = (np.zeros(size, dtype) for _ in range(4))
         self.t = 0
         self.table = []
-        for (name, p), view in zip(named_params, self.views(self.params)):
+        for (name, p), view in zip(named_params, arena_views(self.params, self.shapes)):
             view[...] = p.data
             p.data = view
             self.table.append((name, p, view))
-        self.grads = self.views(self.grad)
+        self.grads = arena_views(self.grad, self.shapes)
         for (_, p, _), g in zip(self.table, self.grads):
             p.grad_buffer = g
         self.scratch = np.empty((2, min(CHUNK, self.params.size)), self.params.dtype)
-
-    def views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Each parameter's view of a flat array laid out like the arena."""
-        out, end = [], 0
-        for shape in self.shapes:
-            start, end = end, end + math.prod(shape)
-            out.append(flat[start:end].reshape(shape))
-        return out
 
     def gather_grads(self) -> np.ndarray:
         """Fill ``grad`` and return it. ``backward`` has already written each

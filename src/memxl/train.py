@@ -8,6 +8,7 @@ stack. Head assignments are sampled in both phases (training only).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -19,7 +20,7 @@ from .attention import sample_head_assignment
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Batches, Vocabulary, batchify
 from .model import LayerMemory, MemoryLM, MemoryState, ModelConfig, StreamState
-from .optim import AdamState, adam_update, clip_global_norm, cosine_lr
+from .optim import AdamState, adam_update, arena_views, clip_global_norm, cosine_lr
 from .rng import RngHub
 from .skip import PhaseController, SkipSchedule, sample_skip_mask
 
@@ -205,7 +206,7 @@ class Trainer:
         self.log_path = log_path
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        if log_path is not None:  # a new run starts a new log; ``load`` resumes into the old one
+        if log_path is not None:  # a new run starts a new log; ``load`` then writes back the rows it keeps
             _ensure_parent(log_path)
             with open(log_path, "w") as f:
                 f.write(LOG_HEADER + "\n")
@@ -294,17 +295,18 @@ class Trainer:
     # -- persistence -------------------------------------------------------
 
     def save(self, path, rng: dict | None = None) -> None:
-        """Write the trainer to ``path``; ``rng``, when given, is the
-        ``RngHub.state_dict`` to store in place of the hub's current one."""
-        model = self.model
+        """Write the trainer to ``path``, the arena as its flat arrays and their
+        ``arena`` table; ``rng``, when given, is the ``RngHub.state_dict`` to
+        store in place of the hub's current one."""
+        model, adam = self.model, self.adam
         meta = {
-            "kind": "trainer",
             "model_config": asdict(model.config),
             "train_config": self.cfg.to_dict(),
             "step": self.step,
             "controller": self.controller.state_dict(),
             "rng": self.hub.state_dict() if rng is None else rng,
-            "adam_t": self.adam.t,
+            "adam_t": adam.t,
+            "arena": _arena_table(model),
             "mem": {
                 "mem_len": self.mems.mem_len,
                 "next_position": self.mems.next_position,
@@ -312,12 +314,7 @@ class Trainer:
             },
             "vocab": self.vocab.to_dict() if self.vocab is not None else None,
         }
-        arrays: dict[str, np.ndarray] = {}
-        adam = self.adam
-        for (name, p, _), m, v in zip(adam.table, adam.views(adam.m), adam.views(adam.v)):
-            arrays[f"param.{name}"] = p.data
-            arrays[f"adam_m.{name}"] = m
-            arrays[f"adam_v.{name}"] = v
+        arrays = {"params": adam.params, "adam_m": adam.m, "adam_v": adam.v}
         for i, lm in enumerate(self.mems.layers):
             arrays[f"mem.{i}.buffer"] = lm.buffer
             arrays[f"mem.{i}.tags"] = lm.tags
@@ -333,25 +330,27 @@ class Trainer:
         checkpoint_path=None,
         checkpoint_every: int = 0,
     ) -> "Trainer":
+        """Rebuild the trainer that ``save`` wrote. A log at ``log_path`` keeps
+        its rows up to the checkpoint's step; the resumed rows follow them."""
         meta, arrays = load_checkpoint(path)
-        if meta.get("kind") != "trainer":
-            raise ValueError(f"checkpoint kind {meta.get('kind')!r} cannot resume training")
         mcfg = ModelConfig(**meta["model_config"])
         cfg = TrainConfig.from_dict(meta["train_config"])
         hub = RngHub(meta["rng"]["seed"])
         model = MemoryLM(mcfg, hub["init"])
         hub.load_state(meta["rng"])
+        _check_arena(path, meta, arrays, model)
         vocab = Vocabulary.from_dict(meta["vocab"]) if meta.get("vocab") else None
-        # the resumed run's rows go on after the old ones: only a missing log gets a new header
-        old_log = log_path is not None and os.path.exists(log_path)
-        trainer = Trainer(model, cfg, batches, eval_ids, hub, vocab=vocab, log_path=None if old_log else log_path,
+        step, rows = int(meta["step"]), ""
+        if log_path is not None and os.path.exists(log_path):
+            with open(log_path) as f:
+                rows = "".join(row for row in f.readlines()[1:] if int(row.split("\t", 1)[0]) <= step)
+        trainer = Trainer(model, cfg, batches, eval_ids, hub, vocab=vocab, log_path=log_path,
                           checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every)
-        trainer.log_path = log_path
-        _restore_parameters(model, arrays)
+        if rows:
+            with open(log_path, "a") as f:
+                f.write(rows)
         adam = trainer.adam
-        for (name, _, _), m, v in zip(adam.table, adam.views(adam.m), adam.views(adam.v)):
-            m[...] = arrays[f"adam_m.{name}"]
-            v[...] = arrays[f"adam_v.{name}"]
+        adam.params[...], adam.m[...], adam.v[...] = arrays["params"], arrays["adam_m"], arrays["adam_v"]
         adam.t = int(meta["adam_t"])
         # the arrays are views of the file's bytes: copy what stays live, so the rest is freed
         trainer.mems = MemoryState(
@@ -367,37 +366,35 @@ class Trainer:
             next_position=int(meta["mem"]["next_position"]),
         )
         trainer.controller = PhaseController.from_state(meta["controller"])
-        trainer.step = int(meta["step"])
+        trainer.step = step
         return trainer
 
 
-def _restore_parameters(model: MemoryLM, arrays: dict[str, np.ndarray]) -> None:
-    """Copy the checkpoint's ``param.{name}`` arrays into the parameters of the same shape."""
-    for name, p in model.named_parameters():
-        stored = arrays[f"param.{name}"]
-        if stored.shape != p.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape {stored.shape}, expected {p.shape}")
-        p.data[...] = stored
+def _arena_table(model: MemoryLM) -> list[list]:
+    """The arena's layout as a checkpoint stores it: ``[name, shape]`` per parameter, in order."""
+    return [[name, list(p.shape)] for name, p in model.named_parameters()]
 
 
-def save_model(path, model: MemoryLM, vocab: Vocabulary | None = None) -> None:
-    """Parameters-only checkpoint, enough for evaluation and pruning."""
-    meta = {
-        "kind": "model",
-        "model_config": asdict(model.config),
-        "vocab": vocab.to_dict() if vocab is not None else None,
-    }
-    _ensure_parent(path)
-    save_checkpoint(path, meta, {f"param.{name}": p.data for name, p in model.named_parameters()})
+def _check_arena(path, meta: dict, arrays: dict[str, np.ndarray], model: MemoryLM) -> None:
+    """Refuse a checkpoint whose arena table or flat arrays do not fit ``model``, naming the first misfit."""
+    want = _arena_table(model)
+    for i, (got, expected) in enumerate(itertools.zip_longest(meta.get("arena") or [], want)):
+        if got != expected:
+            raise ValueError(f"{path}: arena entry {i} is {got}, but the model's is {expected}")
+    size = sum(math.prod(shape) for _, shape in want)
+    for name in ("params", "adam_m", "adam_v"):
+        if arrays[name].shape != (size,):
+            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, but the arena holds {size} entries")
 
 
 def load_model(path) -> tuple[MemoryLM, Vocabulary | None]:
-    """Rebuild a model (and its vocabulary, when stored) from any checkpoint."""
+    """Rebuild a trainer checkpoint's model, and its vocabulary when stored."""
     meta, arrays = load_checkpoint(path)
-    if meta.get("kind") not in ("model", "trainer"):
-        raise ValueError(f"not a model checkpoint: kind {meta.get('kind')!r}")
     model = MemoryLM(ModelConfig(**meta["model_config"]), np.random.default_rng(0))
-    _restore_parameters(model, arrays)
+    _check_arena(path, meta, arrays, model)
+    stored = arena_views(arrays["params"], [shape for _, shape in meta["arena"]])
+    for (_, p), values in zip(model.named_parameters(), stored):
+        p.data[...] = values
     vocab = Vocabulary.from_dict(meta["vocab"]) if meta.get("vocab") else None
     return model, vocab
 

@@ -1,8 +1,20 @@
-"""Graph ops that only the tests need."""
+"""Graph ops and checkpoint writers that only the tests need."""
+
+import copy
 
 import numpy as np
 
+from memxl import RngHub, TrainConfig, Trainer
 from memxl.autodiff import Tensor, _make, _unbroadcast
+from memxl.data import batchify
+
+
+def save_trainer_checkpoint(path, model, vocab=None) -> None:
+    """Write a copy of ``model``, with ``vocab`` when given, as a step-0
+    trainer checkpoint, the kind ``load_model`` reads; ``model`` is untouched."""
+    block = model.config.block_len
+    batches = batchify(np.zeros(block + 1, dtype=np.int64), 1, block)
+    Trainer(copy.deepcopy(model), TrainConfig(steps=1), batches, None, RngHub(0), vocab=vocab).save(path)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

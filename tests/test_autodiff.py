@@ -672,15 +672,6 @@ class TestGraphMechanics:
         assert x.grad is buffer
         np.testing.assert_array_equal(buffer, [9.0, -3.0])
 
-    def test_detach_stops_gradient(self):
-        x = ad.Tensor(np.array([3.0]), requires_grad=True)
-        frozen = x.detach()
-        assert not frozen.requires_grad
-        np.testing.assert_array_equal(frozen.data, x.data)
-        loss = sum_(ad.mul(frozen, x))
-        ad.backward(loss)
-        np.testing.assert_allclose(x.grad, [3.0])  # only the live branch contributes
-
     def test_no_grad_records_nothing(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():

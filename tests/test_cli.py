@@ -3,7 +3,8 @@ import pytest
 
 import memxl.cli as cli
 from memxl.cli import main
-from memxl.train import load_model, save_model
+from helpers import save_trainer_checkpoint
+from memxl.train import load_model
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +136,7 @@ class TestEval:
         model, vocab = load_model(root / "run.ckpt")
         model.ln_out_g.data = np.full_like(model.ln_out_g.data, 1e4)
         ckpt = tmp_path / "hot.ckpt"
-        save_model(ckpt, model, vocab)
+        save_trainer_checkpoint(ckpt, model, vocab)
         out = tmp_path / "eval.tsv"
         rc = main(
             [

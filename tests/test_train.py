@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import memxl.autodiff as ad
+import memxl.checkpoint as checkpoint_module
 import memxl.model as model_module
 from conftest import PANGRAM_TEXT, tiny_config
-from helpers import reachable
+from helpers import reachable, save_trainer_checkpoint
 from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule, TrainConfig, Trainer, train
 from memxl.analysis import prune_heads
 from memxl.attention import HeadAssignment
@@ -23,7 +24,7 @@ from memxl.data import batchify, corpus_from_text
 from memxl.model import StreamState
 from memxl.optim import AdamState
 from memxl.skip import PHASE_SKIP_RETAIN, PHASE_VANILLA
-from memxl.train import LOG_HEADER, EvalReport, evaluate, load_model, save_model
+from memxl.train import LOG_HEADER, EvalReport, evaluate, load_model
 
 train_module = importlib.import_module("memxl.train")  # the package's ``train`` attribute is the function
 
@@ -174,7 +175,7 @@ class TestStreamingEvaluation:
         equals that of a freshly loaded copy with the same edit."""
         model = MemoryLM(tiny_config(), RngHub(0)["init"])
         ids = make_ids(61)
-        save_model(tmp_path / "m.ckpt", model)
+        save_trainer_checkpoint(tmp_path / "m.ckpt", model)
         before = evaluate(model, ids, 16, 4).nll
 
         def edit(m):
@@ -848,49 +849,72 @@ class TestPersistence:
         trainer.run()
         assert path.exists()
 
-    def test_model_save_load_round_trip(self, tmp_path, trained_lm):
-        model, ids = trained_lm
-        corpus = corpus_from_text("abc", "char")
-        path = tmp_path / "model.ckpt"
-        save_model(path, model, vocab=corpus.vocab)
-        clone, vocab = load_model(path)
-        assert vocab.tokens == corpus.vocab.tokens
-        for (_, pa), (_, pb) in zip(model.named_parameters(), clone.named_parameters()):
-            assert pa.data.tobytes() == pb.data.tobytes()
-        a = evaluate(model, ids, 32, 16)
-        b = evaluate(clone, ids, 32, 16)
-        assert a.nll == b.nll
-
     def test_load_model_accepts_trainer_checkpoints(self, tmp_path):
+        """``load_model`` gives the trainer's parameters, bitwise, and its
+        vocabulary; the clone evaluates exactly as the trained model does."""
         trainer = quick_trainer(steps=3)
+        trainer.run()
+        trainer.vocab = corpus_from_text("abc", "char").vocab
+        path = tmp_path / "t.ckpt"
+        trainer.save(path)
+        clone, vocab = load_model(path)
+        assert clone.config == trainer.model.config
+        assert vocab.tokens == trainer.vocab.tokens
+        for (_, pa), (_, pb) in zip(trainer.model.named_parameters(), clone.named_parameters(), strict=True):
+            assert pa.data.tobytes() == pb.data.tobytes()
+        ids = make_ids(60)
+        assert evaluate(clone, ids, 8, 4).nll == evaluate(trainer.model, ids, 8, 4).nll
+
+    def test_checkpoint_holds_the_arena_and_its_table(self, tmp_path):
+        trainer = quick_trainer(steps=2)
         trainer.run()
         path = tmp_path / "t.ckpt"
         trainer.save(path)
-        clone, _ = load_model(path)
-        assert clone.config == trainer.model.config
+        meta, arrays = load_checkpoint(path)
+        n_layers = trainer.model.config.n_layers
+        assert list(arrays) == ["params", "adam_m", "adam_v"] + [
+            f"mem.{i}.{part}" for i in range(n_layers) for part in ("buffer", "tags")
+        ]
+        assert meta["arena"] == [[name, list(p.shape)] for name, p in trainer.model.named_parameters()]
+        for name, flat in (("params", trainer.adam.params), ("adam_m", trainer.adam.m), ("adam_v", trainer.adam.v)):
+            assert arrays[name].tobytes() == flat.tobytes()
 
-    def test_both_loaders_reject_a_misshapen_parameter(self, tmp_path):
+    @pytest.mark.parametrize("misfit", ["shape", "name", "missing entry", "extra entry", "params", "adam_v"])
+    def test_both_loaders_refuse_an_arena_that_does_not_fit_the_model(self, tmp_path, misfit):
         trainer = quick_trainer(steps=1)
         trainer.run()
         path = tmp_path / "t.ckpt"
         trainer.save(path)
         meta, arrays = load_checkpoint(path)
-        name = next(iter(trainer.model.named_parameters()))[0]
-        stored = arrays[f"param.{name}"]
-        arrays[f"param.{name}"] = np.zeros(stored.shape + (1,), dtype=stored.dtype)
+        table, size = meta["arena"], trainer.adam.params.size
+        (name, shape), want = table[1], re.escape(str(table[1]))
+        if misfit in ("shape", "name"):
+            table[1] = [name, shape + [1]] if misfit == "shape" else [name + "x", shape]
+            message = f"arena entry 1 is {re.escape(str(table[1]))}, but the model's is {want}"
+        elif misfit == "missing entry":
+            del table[1:]
+            message = f"arena entry 1 is None, but the model's is {want}"
+        elif misfit == "extra entry":
+            table.append(["extra", [2]])
+            message = re.escape(f"arena entry {len(table) - 1} is ['extra', [2]], but the model's is None")
+        else:
+            arrays[misfit] = arrays[misfit][:-1]
+            message = re.escape(f"{misfit} has shape ({size - 1},), but the arena holds {size} entries")
         save_checkpoint(path, meta, arrays)
-        message = f"checkpoint parameter {name} has shape {stored.shape + (1,)}, expected {stored.shape}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            load_model(path)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Trainer.load(path, trainer.batches)
+        for load in (load_model, lambda p: Trainer.load(p, trainer.batches)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+                load(path)
 
-    def test_resume_rejects_model_only_checkpoint(self, tmp_path, tiny_model):
-        model, _ = tiny_model
-        path = tmp_path / "m.ckpt"
-        save_model(path, model)
-        with pytest.raises(ValueError, match="cannot resume"):
-            Trainer.load(path, batchify(make_ids(), 1, 4))
+    def test_both_loaders_refuse_a_version_1_file(self, tmp_path, monkeypatch):
+        trainer = quick_trainer(steps=1)
+        trainer.run()
+        path = tmp_path / "t.ckpt"
+        monkeypatch.setattr(checkpoint_module, "VERSION", 1)
+        trainer.save(path)
+        monkeypatch.undo()
+        for load in (load_model, lambda p: Trainer.load(p, trainer.batches)):
+            with pytest.raises(ValueError, match="unsupported checkpoint version 1; this memxl reads version 2"):
+                load(path)
 
 
 class TestTrainHelper:
@@ -926,6 +950,26 @@ class TestTrainHelper:
             resumed = Trainer.load(ckpt, batchify(ids, 1, 4), ids, log_path=str(path))
             resumed.run(until=6)
             assert steps_logged(path) == want
+
+    def test_resume_onto_a_longer_log_rewrites_it_from_the_checkpoint(self, tmp_path):
+        """A run stopped at step 2 and resumed onto the log it went on to
+        write through step 4 leaves the log of a straight run, byte for byte,
+        evaluation rows included."""
+        ids = make_ids(120)
+        cfg = TrainConfig(steps=4, eval_interval=2, eval_context=8, eval_block=4, seed=1)
+
+        def start(log):
+            hub = RngHub(cfg.seed)
+            return Trainer(MemoryLM(tiny_config(), hub["init"]), cfg, batchify(ids, 1, 4), ids, hub, log_path=str(log))
+
+        start(tmp_path / "straight.log").run()
+        cut = start(tmp_path / "cut.log")
+        cut.run(until=2)
+        cut.save(tmp_path / "two.ckpt")
+        cut.run()
+        Trainer.load(tmp_path / "two.ckpt", cut.batches, ids, log_path=str(tmp_path / "cut.log")).run()
+        straight = (tmp_path / "straight.log").read_bytes()
+        assert straight.count(b"\n") == 5 and (tmp_path / "cut.log").read_bytes() == straight
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="eval_context"):
