@@ -849,6 +849,19 @@ class TestPersistence:
         trainer.run()
         assert path.exists()
 
+    def test_model_save_load_round_trip(self, tmp_path, trained_lm):
+        model, ids = trained_lm
+        corpus = corpus_from_text("abc", "char")
+        path = tmp_path / "model.ckpt"
+        save_trainer_checkpoint(path, model, vocab=corpus.vocab)
+        clone, vocab = load_model(path)
+        assert vocab.tokens == corpus.vocab.tokens
+        for (_, pa), (_, pb) in zip(model.named_parameters(), clone.named_parameters(), strict=True):
+            assert pa.data.tobytes() == pb.data.tobytes()
+        a = evaluate(model, ids, 32, 16)
+        b = evaluate(clone, ids, 32, 16)
+        assert a.nll == b.nll
+
     def test_load_model_accepts_trainer_checkpoints(self, tmp_path):
         """``load_model`` gives the trainer's parameters, bitwise, and its
         vocabulary; the clone evaluates exactly as the trained model does."""
