@@ -280,39 +280,39 @@ def grad_check_model(
     seed: int = 0,
     step: float = 1e-5,
     tol: float = 1e-5,
-    skip_layer: int = 0,
 ) -> dict[str, FiniteDiffReport]:
     """Finite-difference verification of every parameter gradient under
-    four regimes: plain, one layer skipped, heads crossed, and both.
-
-    Stochastic inputs (mask, assignment, memory) are fixed up front so the
-    loss is a deterministic function of the parameters.
+    four regimes: plain, layer 0 skipped, heads crossed, and both, over one
+    memory: a warm block, then the same block twice with the last layer
+    skipped, so its cache is two blocks stale and its tags stop short of the
+    checked block. Stochastic inputs (mask, assignment, memory) are fixed up
+    front so the loss is a deterministic function of the parameters.
     """
     cfg = config if config is not None else check_config()
     if cfg.param_dtype != "float64":
         raise ValueError("gradient checking needs the float64 build")
-    if not 0 <= skip_layer < cfg.n_layers:
-        raise ValueError(f"skip_layer {skip_layer} outside 0..{cfg.n_layers - 1}")
     hub = RngHub(seed)
     model = MemoryLM(cfg, hub["init"])
     data = hub["data"]
     warm = data.integers(0, cfg.vocab_size, size=(1, cfg.block_len))
     tokens = data.integers(0, cfg.vocab_size, size=(1, cfg.block_len))
     targets = data.integers(0, cfg.vocab_size, size=(1, cfg.block_len))
+    layer = np.arange(cfg.n_layers)
     with ad.no_grad():
         _, mems = model.forward(warm, model.init_memory(1))
+        for _ in range(2):
+            _, mems = model.forward(warm, mems, skip_mask=layer == cfg.n_layers - 1)
 
     identity = [HeadAssignment.identity(cfg.n_heads) for _ in range(cfg.n_layers)]
     rolled = np.roll(np.arange(cfg.n_heads, dtype=np.int64), 1)
     crossed = [HeadAssignment(sigma=rolled.copy(), cross_active=True) for _ in range(cfg.n_layers)]
     no_skip = np.zeros(cfg.n_layers, dtype=bool)
-    one_skip = no_skip.copy()
-    one_skip[skip_layer] = True
+    skip_first = layer == 0
     regimes = {
         "baseline": (no_skip, identity),
-        "skip": (one_skip, identity),
+        "skip": (skip_first, identity),
         "cross": (no_skip, crossed),
-        "skip_cross": (one_skip, crossed),
+        "skip_cross": (skip_first, crossed),
     }
 
     reports = {}

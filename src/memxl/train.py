@@ -331,7 +331,7 @@ class Trainer:
         checkpoint_every: int = 0,
     ) -> "Trainer":
         """Rebuild the trainer that ``save`` wrote. A log at ``log_path`` keeps
-        its rows up to the checkpoint's step; the resumed rows follow them."""
+        its complete rows up to the checkpoint's step; the resumed rows follow."""
         meta, arrays = load_checkpoint(path)
         mcfg = ModelConfig(**meta["model_config"])
         cfg = TrainConfig.from_dict(meta["train_config"])
@@ -343,7 +343,7 @@ class Trainer:
         step, rows = int(meta["step"]), ""
         if log_path is not None and os.path.exists(log_path):
             with open(log_path) as f:
-                rows = "".join(row for row in f.readlines()[1:] if int(row.split("\t", 1)[0]) <= step)
+                rows = "".join(row + "\n" for row in f.read().split("\n")[1:-1] if int(row.split("\t", 1)[0]) <= step)
         trainer = Trainer(model, cfg, batches, eval_ids, hub, vocab=vocab, log_path=log_path,
                           checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every)
         if rows:

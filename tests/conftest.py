@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from memxl import MemoryLM, ModelConfig, RngHub, TrainConfig, Trainer
+from memxl.analysis import grad_check_model
 from memxl.data import batchify, corpus_from_text
 
 PANGRAM_TEXT = ("the quick brown fox jumps over the lazy dog. " * 40)[:2000]
@@ -54,6 +57,16 @@ def trained_lm():
     trainer = Trainer(model, tcfg, batchify(corpus.ids, 1, mcfg.block_len), None, hub)
     trainer.run()
     return model, corpus.ids
+
+
+@pytest.fixture(scope="session")
+def seed0_gradcheck():
+    """``memxl gradcheck``'s default run, the seed-0 reports at step and tol
+    1e-5, computed once for acceptance check 1 and the CLI test, with the
+    seconds it took."""
+    t0 = time.monotonic()
+    reports = grad_check_model(seed=0, step=1e-5, tol=1e-5)
+    return reports, time.monotonic() - t0
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

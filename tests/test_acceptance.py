@@ -13,7 +13,7 @@ import numpy as np
 import memxl.autodiff as ad
 from conftest import PANGRAM_TEXT, tiny_config
 from memxl import MemoryLM, ModelConfig, RngHub, SkipSchedule, TrainConfig, Trainer, train
-from memxl.analysis import grad_check_model, pct_change, sample_stddev
+from memxl.analysis import pct_change, sample_stddev
 from memxl.attention import sample_head_assignment
 from memxl.data import batchify, corpus_from_text
 from memxl.model import LayerTrace
@@ -35,14 +35,13 @@ def assert_budget(t0: float, seconds: float):
     assert elapsed < seconds, f"took {elapsed:.1f}s, budget {seconds}s"
 
 
-def test_01_gradient_fidelity_four_regimes():
-    t0 = time.monotonic()
-    reports = grad_check_model(seed=0, step=1e-5, tol=1e-5)
+def test_01_gradient_fidelity_four_regimes(seed0_gradcheck):
+    reports, seconds = seed0_gradcheck
     assert set(reports) == {"baseline", "skip", "cross", "skip_cross"}
     for name, report in reports.items():
         assert report.passed, f"{name}: {report.summary()}"
         assert report.max_rel_error < 1e-5
-    assert_budget(t0, 60)
+    assert seconds < 60, f"took {seconds:.1f}s, budget 60s"
 
 
 def test_02_disabled_mechanisms_change_nothing_bitwise():

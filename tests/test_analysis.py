@@ -202,23 +202,54 @@ class TestExpectedContextReport:
         assert f"{report.approx:.4f}" in table
 
 
+ONE_LAYER = ModelConfig(
+    n_layers=1, d_model=4, d_inner=8, n_heads=2, d_head=2,
+    mem_len=2, block_len=2, vocab_size=5, init_std=0.3,
+)
+
+
+@pytest.fixture(scope="module")
+def one_layer_gate():
+    """``grad_check_model(ONE_LAYER, seed=1)``'s reports, and the memory and
+    skip mask of every ``MemoryLM.forward`` call it made, in order."""
+    calls, forward = [], MemoryLM.forward
+
+    def spy(self, tokens, mems, skip_mask=None, **kwargs):
+        calls.append((mems, skip_mask))
+        return forward(self, tokens, mems, skip_mask=skip_mask, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MemoryLM, "forward", spy)
+        reports = grad_check_model(ONE_LAYER, seed=1)
+    return reports, calls
+
+
 class TestGradCheckHarness:
-    def test_all_regimes_pass_on_a_small_model(self):
-        cfg = ModelConfig(
-            n_layers=1, d_model=4, d_inner=8, n_heads=2, d_head=2,
-            mem_len=2, block_len=2, vocab_size=5, init_std=0.3,
-        )
-        reports = grad_check_model(cfg, seed=1)
+    def test_all_regimes_pass_on_a_small_model(self, one_layer_gate):
+        reports, _ = one_layer_gate
         assert set(reports) == {"baseline", "skip", "cross", "skip_cross"}
         for name, report in reports.items():
             assert report.passed, f"{name}: {report.summary()}"
 
-    def test_skipped_layer_parameters_get_no_gradient(self):
-        cfg = ModelConfig(
-            n_layers=1, d_model=4, d_inner=8, n_heads=2, d_head=2,
-            mem_len=2, block_len=2, vocab_size=5, init_std=0.3,
-        )
-        reports = grad_check_model(cfg, seed=1)
+    def test_regimes_run_over_a_cache_two_blocks_stale(self, one_layer_gate):
+        """Three warm-up calls (the last two skip the last layer), then every
+        regime call over the memory they left: the last layer's cache is two
+        blocks stale and its tags end before the checked block's first
+        position, a gap of two blocks. With one layer, layer 0 is both that
+        stale layer and the layer that ``skip`` skips, so here only
+        ``baseline`` and ``cross`` run across the gap."""
+        _, calls = one_layer_gate
+        block = ONE_LAYER.block_len
+        assert [None if m is None else m.tolist() for _, m in calls[:3]] == [None, [True], [True]]
+        mems = calls[3][0]
+        assert all(m is mems for m, _ in calls[3:])
+        last = mems.layers[-1]
+        assert last.staleness == 2
+        assert last.tags.tolist() == [0, 1] and mems.next_position == 3 * block
+        assert {tuple(m.tolist()) for _, m in calls[3:]} == {(False,), (True,)}
+
+    def test_skipped_layer_parameters_get_no_gradient(self, one_layer_gate):
+        reports, _ = one_layer_gate
         skip_checks = reports["skip"].checks
         for name, check in skip_checks.items():
             if name.startswith("layers.0."):
@@ -228,12 +259,8 @@ class TestGradCheckHarness:
         # with the layer live, its parameters do carry gradient
         assert reports["baseline"].checks["layers.0.attn.w_q"].analytic_absmax > 0
 
-    def test_crossed_heads_still_pass_and_move_key_side(self):
-        cfg = ModelConfig(
-            n_layers=1, d_model=4, d_inner=8, n_heads=2, d_head=2,
-            mem_len=2, block_len=2, vocab_size=5, init_std=0.3,
-        )
-        reports = grad_check_model(cfg, seed=1)
+    def test_crossed_heads_still_pass_and_move_key_side(self, one_layer_gate):
+        reports, _ = one_layer_gate
         assert reports["cross"].checks["layers.0.attn.w_ke"].analytic_absmax > 0
         assert reports["cross"].passed
 
@@ -241,10 +268,6 @@ class TestGradCheckHarness:
         cfg = tiny_config(param_dtype="float32")
         with pytest.raises(ValueError, match="float64"):
             grad_check_model(cfg)
-
-    def test_bad_skip_layer_rejected(self):
-        with pytest.raises(ValueError, match="skip_layer"):
-            grad_check_model(check_config(), skip_layer=5)
 
     def test_default_config_is_the_documented_shape(self):
         cfg = check_config()

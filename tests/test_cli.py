@@ -251,7 +251,12 @@ class TestContext:
 
 
 class TestGradcheck:
-    def test_passes_and_writes_tsv(self, tmp_path, capsys):
+    def test_passes_and_writes_tsv(self, tmp_path, capsys, monkeypatch, seed0_gradcheck):
+        def gate(*args, **kwargs):
+            assert not args and kwargs == {"seed": 0, "step": 1e-5, "tol": 1e-5}
+            return seed0_gradcheck[0]
+
+        monkeypatch.setattr(cli, "grad_check_model", gate)
         out = tmp_path / "grad.tsv"
         rc = main(["gradcheck", "--out", str(out)])
         assert rc == 0

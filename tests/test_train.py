@@ -984,6 +984,27 @@ class TestTrainHelper:
         straight = (tmp_path / "straight.log").read_bytes()
         assert straight.count(b"\n") == 5 and (tmp_path / "cut.log").read_bytes() == straight
 
+    def test_resume_onto_a_log_cut_mid_row_keeps_only_complete_rows(self, tmp_path):
+        """A crash one byte into row 12 leaves a last line with no newline;
+        resumed from the step-10 checkpoint, the run drops it and leaves the
+        log of a straight 14-step run, byte for byte."""
+        ids = make_ids(120)
+        cfg = TrainConfig(steps=14, eval_interval=100, eval_context=8, eval_block=4, seed=1)
+
+        def start(log, **kwargs):
+            hub = RngHub(cfg.seed)
+            return Trainer(MemoryLM(tiny_config(), hub["init"]), cfg, batchify(ids, 1, 4), ids, hub,
+                           log_path=str(log), **kwargs)
+
+        start(tmp_path / "straight.log").run()
+        log, ckpt = tmp_path / "cut.log", tmp_path / "ten.ckpt"
+        start(log, checkpoint_path=ckpt, checkpoint_every=10).run(until=12)
+        lines = log.read_bytes().split(b"\n")
+        log.write_bytes(b"\n".join(lines[:12]) + b"\n" + lines[12][:1])
+        Trainer.load(ckpt, batchify(ids, 1, 4), ids, log_path=str(log)).run()
+        straight = (tmp_path / "straight.log").read_bytes()
+        assert straight.count(b"\n") == 15 and log.read_bytes() == straight
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="eval_context"):
             TrainConfig(steps=5, eval_context=4, eval_block=8)
