@@ -189,8 +189,9 @@ def index_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 # -- fused functions: one node each, with a hand-written VJP ----------------
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> tuple[Tensor, np.ndarray]:
+    """Normalize the last axis to zero mean / unit variance, then affine; also
+    returns the normalised rows, before the affine, as an array."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
@@ -200,7 +201,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def vjp(g):
         normed = (rows - array_mean(rows)) / std  # the forward's rows, rebuilt, not kept
-        gx = None  # no input gradient for rows that take none, such as cached memory
+        gx = None  # no input gradient for constant rows
         if x_grad:
             gn = g * weight
             gx = (gn - array_mean(gn) - normed * array_mean(gn * normed)) / std
@@ -208,7 +209,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         lead = tuple(range(g.ndim - 1))
         return gx, np.add.reduce(g * normed, axis=lead), np.add.reduce(g, axis=lead)
 
-    return _make(centered / std * weight + bias.data, (x, gain, bias), vjp)
+    normed = np.true_divide(centered, std, out=centered)  # in place, as is the bias add: fewer large arrays
+    out = normed * weight
+    return _make(np.add(out, bias.data, out=out), (x, gain, bias), vjp), normed
+
+
+def scale_shift(normed: np.ndarray, gain: Tensor, bias: Tensor) -> Tensor:
+    """``layer_norm``'s affine half over its constant normalised rows: no input gradient."""
+    def vjp(g):
+        lead = tuple(range(g.ndim - 1))
+        return np.add.reduce(g * normed, axis=lead), np.add.reduce(g, axis=lead)
+
+    out = normed * gain.data
+    return _make(np.add(out, bias.data, out=out), (gain, bias), vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

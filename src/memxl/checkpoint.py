@@ -3,7 +3,7 @@
 Layout: 4-byte magic, 8-byte little-endian header length, UTF-8 JSON
 header, then the raw array bytes back to back. The header carries
 arbitrary JSON metadata plus one entry per array (name, dtype, shape,
-offset). Round trips are bit-exact.
+offset, size, CRC32). Round trips are bit-exact; a load checks every CRC32.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 
 MAGIC = b"MXCK"
-VERSION = 2
+VERSION = 3
 
 
 def _little_endian(arr: np.ndarray) -> np.ndarray:
@@ -28,13 +29,13 @@ def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``meta`` and ``arrays`` to ``path`` atomically: into a temporary
     file beside it, fsynced, then renamed onto it, and the directory fsynced,
     so a write that fails leaves any earlier file at ``path`` as it was and no
-    temporary file behind. Each array is written from its own buffer (a copy
-    only for one that is not C-contiguous and little-endian)."""
+    temporary file behind. Each array is written and checksummed from its own
+    buffer (a copy only for one that is not C-contiguous and little-endian)."""
     arrays = {name: np.require(_little_endian(np.asarray(arr)), requirements="C") for name, arr in arrays.items()}
     entries, offset = [], 0
     for name, arr in arrays.items():
         entries.append({"name": name, "dtype": arr.dtype.str.replace("=", "<"), "shape": list(arr.shape),
-                        "offset": offset, "nbytes": arr.nbytes})
+                        "offset": offset, "nbytes": arr.nbytes, "crc32": zlib.crc32(arr)})
         offset += arr.nbytes
     header = json.dumps({"version": VERSION, "meta": meta, "arrays": entries}).encode("utf-8")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -86,4 +87,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"{path} is truncated: array {e['name']!r} ends past the file's {len(blob)} bytes")
         arrays[e["name"]] = np.frombuffer(blob, dtype, count, base + offset).reshape(e["shape"])
         offset += e["nbytes"]
+    for e in header["arrays"]:  # every array fills its place; now its bytes
+        if (crc := zlib.crc32(arrays[e["name"]])) != e["crc32"]:
+            raise ValueError(f"{path}: array {e['name']!r} is corrupt: its bytes' CRC32 is {crc:08x}, "
+                             f"the header's {e['crc32']:08x}")
     return header["meta"], arrays

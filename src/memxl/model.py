@@ -1,10 +1,11 @@
 """Memory-augmented autoregressive transformer stack.
 
-Each layer caches its most recent input activations (detached) together
-with their absolute positions (``MemoryState``), and attends to the keys and
-values of its cached rows followed by the block's own. A layer can be
-skipped for a step, in which case it passes its input through unchanged and
-keeps its cache as-is, growing the relative offsets its next update will see.
+Each layer caches its most recent input rows, normalised (before gain and
+bias) and detached, with their absolute positions (``MemoryState``), and
+attends to the keys and values of its cached rows followed by the block's
+own. A layer can be skipped for a step, in which case it passes its input
+through unchanged and keeps its cache as-is, growing the relative offsets
+its next update will see; a run encodes each layout of them once.
 
 Streaming evaluation runs under fixed parameters, so it caches each
 layer's projected keys and values instead of the raw rows, and its position
@@ -13,7 +14,7 @@ keys, built once (``StreamState``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -112,10 +113,11 @@ def named_fields(params, prefix: str) -> list[tuple[str, Tensor]]:
 
 @dataclass
 class LayerMemory:
-    """Cached input activations of one layer with their positions.
+    """Cached input rows of one layer, normalised, with their positions.
 
-    ``buffer`` never carries gradient history. ``staleness`` counts steps
-    since the last refresh; skips increment it.
+    ``buffer`` holds the rows before gain and bias (``join`` applies the
+    current ones) and never carries gradient history. ``staleness`` counts
+    steps since the last refresh; skips increment it.
     """
 
     buffer: np.ndarray  # [B, rows, d], rows <= mem_len
@@ -123,11 +125,11 @@ class LayerMemory:
     staleness: int = 0
 
     def join(self, keys: Tensor, values: Tensor, lp: LayerParams, params: LayerAttentionParams):
-        """The cached rows' keys and values, normalised and projected again with
+        """The cached rows' keys and values, scaled, shifted and projected with
         the graph attached, followed by the block's ``keys`` and ``values``."""
         if self.buffer.shape[1] == 0:
             return keys, values
-        rows = ad.layer_norm(Tensor(self.buffer.astype(keys.dtype, copy=False)), lp.ln_attn_g, lp.ln_attn_b)
+        rows = ad.scale_shift(self.buffer, lp.ln_attn_g, lp.ln_attn_b)
         return (ad.concat([ad.linear(rows, params.w_ke), keys], axis=1),
                 ad.concat([ad.linear(rows, params.w_v), values], axis=1))
 
@@ -144,11 +146,15 @@ class LayerMemory:
 @dataclass
 class MemoryState:
     """Memory for training: each layer's cached rows and their tags, gapped by
-    skips; every call projects the rows again and returns a new state."""
+    skips; every call projects the rows again and returns a new state, which
+    shares ``encodings``, the ``LAYOUTS`` tag layouts used most recently."""
+
+    LAYOUTS = 32  # a class constant, not a field
 
     layers: list[LayerMemory]
     mem_len: int
     next_position: int = 0
+    encodings: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def batch(self) -> int:
@@ -160,16 +166,23 @@ class MemoryState:
 
     def layouts(self, q_tags: np.ndarray, record):
         """(layer memory, ``w_kr``) -> (offsets, encoding, position keys, no
-        grids), one encoding per layout of cache tags, shared by its layers."""
-        cache: dict[bytes, tuple[np.ndarray, OffsetEncodings]] = {}
+        grids); a layout (cache tags relative to the first query, block
+        length, width, dtype) met before shares its read-only arrays."""
+        cache = self.encodings
 
         def layout(lm: LayerMemory, w_kr: Tensor):
-            key = lm.tags.tobytes()
-            if key not in cache:
+            key = (lm.tags - q_tags[0]).tobytes(), len(q_tags), w_kr.shape[-1], w_kr.dtype
+            if (hit := cache.pop(key, None)) is None:
                 offsets = relative_offsets(q_tags, np.concatenate([lm.tags, q_tags]))
-                cache[key] = offsets, encode_offsets(offsets, w_kr.shape[-1])
-            offsets, enc = cache[key]
-            return offsets, enc, position_keys(enc, w_kr), None
+                enc = encode_offsets(offsets, w_kr.shape[-1])
+                enc.vectors = enc.vectors.astype(w_kr.dtype, copy=False)
+                for a in (offsets, enc.offsets, enc.vectors):
+                    a.flags.writeable = False
+                hit = offsets, enc
+                if len(cache) >= self.LAYOUTS:
+                    del cache[next(iter(cache))]  # the least recently used
+            cache[key] = hit
+            return *hit, position_keys(hit[1], w_kr), None
 
         return layout
 
@@ -321,7 +334,7 @@ def update_memory(mem, x, skipped: bool, step_tags: np.ndarray, mem_len: int):
 
     Skipped: the same arrays and tags, staleness up one. Executed: the
     newest ``mem_len`` rows of the old rows followed by this step's, fresh
-    staleness. ``x`` holds the layer's input activations for this step.
+    staleness. ``x`` holds this step's normalised rows.
     """
     if skipped:
         return replace(mem, staleness=mem.staleness + 1)
@@ -436,29 +449,28 @@ class MemoryLM:
                     record.append(LayerTrace(layer=i, skipped=True, staleness=lm.staleness, offsets=None))
                 continue
 
-            layer_input = h
             attn_params = lp.attn.crossed(assignments[i] if assignments is not None else None)
             offsets, enc, positions, grids = layout(lm, attn_params.w_kr)
             if record is not None:
                 record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=offsets))
 
-            x_n = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
+            x_n, normed = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
             # the layer attends to its memory's rows followed by the block's
             keys, values = lm.join(ad.linear(x_n, attn_params.w_ke), ad.linear(x_n, attn_params.w_v), lp, attn_params)
             attn = multi_head_forward(x_n, keys, values, enc, attn_params, positions, grids)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 
-            f_n = ad.layer_norm(h, lp.ln_ffn_g, lp.ln_ffn_b)
+            f_n, _ = ad.layer_norm(h, lp.ln_ffn_g, lp.ln_ffn_b)
             z = ad.relu(ad.linear(f_n, lp.w_ff1, lp.b_ff1))
             z = ad.dropout(z, cfg.dropout, dropout_rng, training)
             z = ad.linear(z, lp.w_ff2, lp.b_ff2)
             z = ad.dropout(z, cfg.dropout, dropout_rng, training)
             h = ad.add(h, z)
 
-            new_layers.append(update_memory(lm, layer_input, False, tags, mems.mem_len))
+            new_layers.append(update_memory(lm, normed, False, tags, mems.mem_len))
 
-        final = ad.layer_norm(h, self.ln_out_g, self.ln_out_b)
+        final, _ = ad.layer_norm(h, self.ln_out_g, self.ln_out_b)
         logits = ad.linear(final, self.embedding)  # tied weights: the transposed embedding table
 
         return mems.advanced(new_layers, n_tokens, logits)

@@ -257,9 +257,10 @@ class TestComposed:
         x = ad.Tensor(rng.standard_normal((3, 16)) * 5.0 + 2.0)
         gain = ad.Tensor(np.ones(16))
         bias = ad.Tensor(np.zeros(16))
-        out = ad.layer_norm(x, gain, bias).data
-        np.testing.assert_allclose(out.mean(axis=-1), np.zeros(3), atol=1e-12)
-        np.testing.assert_allclose(out.var(axis=-1), np.ones(3), rtol=1e-4)
+        out, normed = ad.layer_norm(x, gain, bias)
+        np.testing.assert_allclose(out.data.mean(axis=-1), np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(out.data.var(axis=-1), np.ones(3), rtol=1e-4)
+        assert normed.tobytes() == out.data.tobytes()  # unit gain, zero bias
 
     def test_layer_norm_grads_match_numeric(self, rng):
         x_np = rng.standard_normal((2, 6))
@@ -276,7 +277,7 @@ class TestComposed:
         x = ad.Tensor(x_np, requires_grad=True)
         g = ad.Tensor(g_np, requires_grad=True)
         b = ad.Tensor(b_np, requires_grad=True)
-        ad.backward(sum_(ad.mul(ad.layer_norm(x, g, b), ad.Tensor(w_np))))
+        ad.backward(sum_(ad.mul(ad.layer_norm(x, g, b)[0], ad.Tensor(w_np))))
         np.testing.assert_allclose(x.grad, numeric_grad(loss_fn, [x_np, g_np, b_np], 0), atol=1e-6)
         np.testing.assert_allclose(g.grad, numeric_grad(loss_fn, [x_np, g_np, b_np], 1), atol=1e-6)
         np.testing.assert_allclose(b.grad, numeric_grad(loss_fn, [x_np, g_np, b_np], 2), atol=1e-6)
@@ -377,7 +378,8 @@ def fused_calls(dtype, rng):
     bias = ad.Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True)
     w_heads = ad.Tensor(rng.standard_normal((2, 3, 5)).astype(dtype), requires_grad=True)
     return [
-        ("layer_norm", ad.layer_norm(x, g, b), (x, g, b)),
+        ("layer_norm", ad.layer_norm(x, g, b)[0], (x, g, b)),
+        ("scale_shift", ad.scale_shift(ad.layer_norm(x, g, b)[1], g, b), (g, b)),
         ("cross_entropy", ad.cross_entropy(logits, np.array([[0, 4, 2], [1, 1, 3]])), (logits,)),
         ("attention_core", ad.attention_core(*core, enc), tuple(core)),
         ("linear", ad.linear(x, w, bias), (x, w, bias)),
@@ -386,9 +388,9 @@ def fused_calls(dtype, rng):
 
 
 class TestFused:
-    """layer_norm, cross_entropy, the attention core and linear each record one
-    node whose VJP is written by hand; these check it against numpy and central
-    differences."""
+    """layer_norm, scale_shift, cross_entropy, the attention core and linear
+    each record one node whose VJP is written by hand; these check it against
+    numpy and central differences."""
 
     def test_each_records_one_node(self, rng):
         for name, out, inputs in fused_calls(np.float64, rng):
@@ -403,7 +405,7 @@ class TestFused:
         targets = np.array([[0, 4, 2], [1, 1, 3]])
 
         x, g, b = (ad.Tensor(a, requires_grad=True) for a in (x_np, g_np, b_np))
-        ad.backward(sum_(ad.mul(ad.layer_norm(x, g, b), ad.Tensor(w_np))))
+        ad.backward(sum_(ad.mul(ad.layer_norm(x, g, b)[0], ad.Tensor(w_np))))
         for i, p in enumerate((x, g, b)):
             want = numeric_grad(lambda x, g, b: float(np.sum(np_layer_norm(x, g, b) * w_np)), [x_np, g_np, b_np], i)
             assert p.grad.shape == p.shape
@@ -432,7 +434,7 @@ class TestFused:
         same bytes as when the rows take one."""
         x_np = rng.standard_normal((2, 3, 5))
         w_np, b_np = rng.standard_normal(weights), rng.standard_normal(weights[0])
-        op = ad.layer_norm if len(weights) == 1 else ad.linear
+        op = (lambda *a: ad.layer_norm(*a)[0]) if len(weights) == 1 else ad.linear
         arrays = (w_np,) if len(weights) == 3 else (w_np, b_np)
         grads = {}
         for live in (True, False):
@@ -441,6 +443,21 @@ class TestFused:
             assert (input_grad is not None) == live
             grads[live] = [r.tobytes() for r in rest]
         assert grads[True] == grads[False]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scale_shift_of_normed_rows_is_layer_norm_of_constant_rows(self, rng, dtype):
+        """Over the rows layer_norm normalised, scale_shift gives the bytes of
+        layer_norm of the constant rows, and its VJP the same gain and bias
+        gradients."""
+        x = ad.Tensor((rng.standard_normal((2, 3, 5)) * 3 + 1).astype(dtype))
+        g, b = (ad.Tensor(rng.standard_normal(5).astype(dtype), requires_grad=True) for _ in range(2))
+        grad = rng.standard_normal((2, 3, 5)).astype(dtype)
+        full, normed = ad.layer_norm(x, g, b)
+        affine = ad.scale_shift(normed, g, b)
+        assert affine.data.dtype == dtype and affine.data.tobytes() == full.data.tobytes()
+        none, *want = full._node._vjp(grad)
+        assert none is None
+        assert [a.tobytes() for a in affine._node._vjp(grad)] == [a.tobytes() for a in want]
 
     def test_layer_norm_rejects_bad_gain_and_bias(self):
         x = ad.Tensor(np.zeros((2, 4)))

@@ -101,6 +101,23 @@ class TestFormatGuards:
         with pytest.raises(ValueError, match=f"array '{name}' claims"):
             load_checkpoint(path)
 
+    def test_flipped_byte_in_any_array_is_refused_by_name(self, tmp_path, rng):
+        """Each array's CRC32 is checked: a byte flipped at its start, middle
+        or end is refused, with the array named."""
+        path = tmp_path / "state.ckpt"
+        arrays = {"weights": rng.standard_normal((3, 4)), "single": np.array(3.25, dtype=np.float32),
+                  "flags": np.array([True, False, True]), "counts": np.arange(7, dtype=np.int64)}
+        save_checkpoint(path, {}, arrays)
+        blob = path.read_bytes()
+        base = 12 + int.from_bytes(blob[4:12], "little")
+        for e in json.loads(blob[12:base])["arrays"]:
+            for at in (0, e["nbytes"] // 2, e["nbytes"] - 1):
+                flipped = bytearray(blob)
+                flipped[base + e["offset"] + at] ^= 0xFF
+                path.write_bytes(flipped)
+                with pytest.raises(ValueError, match=f"array '{e['name']}' is corrupt"):
+                    load_checkpoint(path)
+
     def test_magic_is_stable(self, tmp_path):
         path = tmp_path / "state.ckpt"
         save_checkpoint(path, {}, {})

@@ -134,7 +134,8 @@ class TestForwardOracle:
         E = model.embedding.data
         x1 = E[tokens1[0]]
         x2 = E[tokens2[0]]
-        np.testing.assert_array_equal(mems.layers[0].buffer[0], x1)
+        # the rows as the attention layer norm normalised them, before gain and bias
+        np.testing.assert_allclose(mems.layers[0].buffer[0], ln_ref(x1, 1.0, 0.0), rtol=1e-13, atol=1e-15)
         np.testing.assert_array_equal(mems.layers[0].tags, [0, 1, 2, 3])
 
         want = straight_line_logits(model, x1, x2, sigma=None)
@@ -222,30 +223,63 @@ class TestForwardSemantics:
         assert mems.layers[0].staleness == 0
 
     def test_layers_with_one_tag_layout_share_one_encoding(self, monkeypatch):
-        calls = []
+        """A layout is encoded once per run: the layers that share it on a
+        step share one encoding object, a later step with the same tags
+        relative to its queries encodes nothing, the cache keeps at most
+        ``MemoryState.LAYOUTS`` layouts, the least recently used leaving
+        first, and its arrays refuse writes."""
+        calls, used = [], []
 
         def counting(offsets, d):
             calls.append(offsets.shape)
             return relpos.encode_offsets(offsets, d)
 
+        def spying(enc, w_kr):
+            used.append(enc)
+            return attention_module.position_keys(enc, w_kr)
+
         monkeypatch.setattr(model_module, "encode_offsets", counting)
+        monkeypatch.setattr(model_module, "position_keys", spying)
         model = fresh_model(n_layers=3, mem_len=4, block_len=2)
         mems = model.init_memory(1)
-        _, mems = model.forward(np.array([[1, 2]]), mems)
-        calls.clear()
-
         record: list[LayerTrace] = []
-        _, mems = model.forward(np.array([[3, 4]]), mems, record=record)
-        assert len(calls) == 1  # no skip: every cache holds tags 0, 1
-        _, mems = model.forward(np.array([[5, 6]]), mems, skip_mask=np.array([False, True, False]), record=record)
-        calls.clear()
-        _, mems = model.forward(np.array([[7, 8]]), mems, record=record)
-        assert len(calls) == 2  # layer 1's stale cache holds 0..3, the others 2..5
-        assert [t.staleness for t in record[-3:]] == [0, 1, 0]
 
+        def step(t, mask=(False, False, False)):
+            nonlocal mems
+            calls.clear(), used.clear()
+            tokens = np.array([[t, t + 1]]) % model.config.vocab_size
+            _, mems = model.forward(tokens, mems, skip_mask=np.array(mask), record=record)
+
+        step(1)
+        step(3)
+        assert len(calls) == 1 and len({id(e) for e in used}) == 1  # every cache holds tags 0, 1
+        step(5, (False, True, False))
+        assert len(calls) == 1  # tags 0..3 before queries at 4, 5
+        step(7)
+        assert len(calls) == 1  # layer 1's stale 0..3 before 6, 7; the others' 2..5 were met on the last step
+        assert [t.staleness for t in record[-3:]] == [0, 1, 0]
+        assert used[0] is used[2] is not used[1]
         q_tags = np.array([6, 7])
         for trace, lm_tags in zip(record[-3:], ([2, 3, 4, 5], [0, 1, 2, 3], [2, 3, 4, 5])):
             np.testing.assert_array_equal(trace.offsets, relpos.relative_offsets(q_tags, np.r_[lm_tags, q_tags]))
+        step(9)
+        steady = used[0]
+        for t in range(11, 19, 2):
+            step(t)
+            assert calls == [] and all(e is steady for e in used)
+
+        for array in (record[-1].offsets, steady.offsets, steady.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 0
+        assert len(mems.encodings) == 5 <= mems.LAYOUTS
+
+        monkeypatch.setattr(model_module.MemoryState, "LAYOUTS", 1)
+        mems, counts = model.init_memory(1), []
+        for t, mask in ((1, ()), (3, ()), (5, (1,)), (7, ())):
+            step(t, np.isin(range(3), mask))
+            counts.append(len(calls))
+            assert len(mems.encodings) == 1
+        assert counts == [1, 1, 1, 2]  # on step 7, layer 1's layout evicts the others', which layer 2 encodes again
 
     def test_memory_window_slides_over_steps(self):
         model = fresh_model(mem_len=4, block_len=2)
@@ -270,6 +304,62 @@ class TestForwardSemantics:
         assert model.embedding.dtype == np.float32
         logits, _ = model.forward(np.array([[1, 2, 3]]), model.init_memory(1))
         assert logits.dtype == np.float32
+
+
+class TestNormalisedMemory:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("crossed", [False, True], ids=["identity", "crossed"])
+    def test_join_matches_layer_norm_of_the_raw_rows(self, monkeypatch, dtype, crossed):
+        """A cache holds its rows normalised, and ``join`` gives the bytes of
+        the layer norm of the raw input rows, then their projections, before
+        the block's keys and values; layer 0's cache is two steps stale."""
+        model = fresh_model(mem_len=4, block_len=2, param_dtype=dtype)
+        raw = {id(lp.ln_attn_g): [] for lp in model.layers}  # each layer's input rows, call by call
+        layer_norm = ad.layer_norm
+
+        def spy(x, gain, bias):
+            raw.get(id(gain), []).append(x.data)
+            return layer_norm(x, gain, bias)
+
+        monkeypatch.setattr(ad, "layer_norm", spy)
+        sigma = HeadAssignment(np.array([1, 0]), cross_active=True) if crossed else None
+        tokens = np.random.default_rng(3).integers(0, model.config.vocab_size, size=(5, 2, 2))
+        mems = model.init_memory(2)
+        for block, mask in zip(tokens, ([0, 0], [0, 0], [0, 0], [1, 0], [1, 0])):
+            _, mems = model.forward(block, mems, skip_mask=np.array(mask, dtype=bool), assignments=[sigma] * 2,
+                                    training=True)
+        assert [lm.staleness for lm in mems.layers] == [2, 0]
+
+        gen = np.random.default_rng(4)
+        keys, values = (ad.Tensor(gen.standard_normal((2, 2, 8)).astype(dtype)) for _ in range(2))
+        for lp, lm in zip(model.layers, mems.layers):
+            params = lp.attn.crossed(sigma)
+            rows = np.concatenate(raw[id(lp.ln_attn_g)], axis=1)[:, -len(lm.tags):]
+            normed = layer_norm(ad.Tensor(rows), lp.ln_attn_g, lp.ln_attn_b)[0]
+            want = [np.concatenate([ad.linear(normed, w).data, block.data], axis=1)
+                    for w, block in ((params.w_ke, keys), (params.w_v, values))]
+            got = lm.join(keys, values, lp, params)
+            assert [g.data.dtype for g in got] == [np.dtype(dtype)] * 2
+            assert [g.data.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_float32_steps_read_one_cached_float32_encoding(self, monkeypatch):
+        """Two float32 training steps over one tag layout read the same float32
+        encoding object: it is cast once, when the layout is first met."""
+        used = []
+
+        def spying(enc, w_kr):
+            used.append(enc.vectors)
+            return attention_module.position_keys(enc, w_kr)
+
+        monkeypatch.setattr(model_module, "position_keys", spying)
+        model = fresh_model(param_dtype="float32")
+        tokens = np.random.default_rng(0).integers(0, model.config.vocab_size, size=(4, 1, 4))
+        mems = full_memory(model, tokens[:1])
+        used.clear()
+        for block, targets in zip(tokens[1:3], tokens[2:]):
+            logits, mems = model.forward(block, mems, training=True)
+            ad.backward(ad.cross_entropy(logits, targets))
+        assert len(used) == 4 and all(v is used[0] for v in used) and used[0].dtype == np.float32
 
 
 class TestStaleCacheGradient:
@@ -344,7 +434,7 @@ class TestGraphSize:
     @pytest.mark.parametrize("crossed, want", [(False, 73), (True, 79)], ids=["plain", "crossed"])
     def test_training_step_graph_size(self, crossed, want):
         """Per layer with memory: 15 parameters and 18 nodes, 3 of them the
-        memory's layer norm and projections; crossing adds one index per
+        memory's scale-shift and projections; crossing adds one index per
         key-side weight. Per step: the embedding, its lookup, the final norm
         and its 2 parameters, the logits and the loss."""
         model = fresh_model()
@@ -356,13 +446,14 @@ class TestGraphSize:
         assert graph_size(ad.cross_entropy(logits, tokens[2])) == want
 
     def test_recorded_step_holds_no_array_it_can_rebuild(self):
-        """A crossed step over a full memory holds 30,880 bytes in its VJPs
-        (34,656 with the leaves' values; 43,560 when every node also kept its
+        """A crossed step over a full memory holds 30,752 bytes in its VJPs
+        (34,528 with the leaves' values; 43,432 when every node also kept its
         own output). A ReLU VJP that read its input, an attention VJP that
         kept q + u, q + v or its head outputs, a layer norm VJP that kept its
-        normalised rows, a concat VJP that kept its split points as an array,
-        or a memory buffer that viewed its joined rows, would hold more."""
-        assert held_bytes(crossed_step(fresh_model())) == 30_880
+        normalised rows, a memory join that normalised its rows again, a
+        concat VJP that kept its split points as an array, or a memory buffer
+        that viewed its joined rows, would hold more."""
+        assert held_bytes(crossed_step(fresh_model())) == 30_752
 
     def test_no_vjp_keeps_a_tensor(self):
         """A node reaches its inputs' values only through the arrays its VJP

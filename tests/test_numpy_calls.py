@@ -49,7 +49,7 @@ def old_layer_norm(x, weight, bias, g, eps=1e-5):
     gn = g * weight
     gx = (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std
     lead = tuple(range(g.ndim - 1))
-    return centered / std * weight + bias, gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
+    return centered / std * weight + bias, centered / std, gx, (g * normed).sum(axis=lead), g.sum(axis=lead)
 
 
 def old_token_nll(x, targets):
@@ -107,10 +107,10 @@ class TestParity:
         x, g = rows(rng, shape, dtype), rng.standard_normal(shape).astype(dtype)
         weight, bias = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
         params = [ad.Tensor(a, requires_grad=True) for a in (x, weight, bias)]
-        out = ad.layer_norm(*params)
+        out, normed = ad.layer_norm(*params)
         want = old_layer_norm(x, weight, bias, g)
-        assert same(out.data, want[0])
-        for got, ref in zip(out._node._vjp(g), want[1:]):
+        assert same(out.data, want[0]) and same(normed, want[1])
+        for got, ref in zip(out._node._vjp(g), want[2:]):
             assert same(got, ref)
 
     @pytest.mark.parametrize("dtype", DTYPES)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import importlib
+import json
 import math
 import os
 import re
@@ -918,16 +919,42 @@ class TestPersistence:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
                 load(path)
 
-    def test_both_loaders_refuse_a_version_1_file(self, tmp_path, monkeypatch):
+    def test_both_loaders_refuse_an_older_version(self, tmp_path, monkeypatch):
+        """Version 1 stored the arena per parameter and version 2 raw memory
+        rows with no CRC32s; either is refused by its number."""
         trainer = quick_trainer(steps=1)
         trainer.run()
         path = tmp_path / "t.ckpt"
-        monkeypatch.setattr(checkpoint_module, "VERSION", 1)
+        for version in (1, 2):
+            monkeypatch.setattr(checkpoint_module, "VERSION", version)
+            trainer.save(path)
+            monkeypatch.undo()
+            for load in (load_model, lambda p: Trainer.load(p, trainer.batches)):
+                with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this memxl reads "
+                                                     f"version 3"):
+                    load(path)
+
+    def test_both_loaders_refuse_a_flipped_byte_in_any_array(self, tmp_path):
+        """One byte flipped inside any array of a trainer checkpoint, the
+        memory's normalised rows and tags included, is refused by its CRC32,
+        and the error names that array."""
+        trainer = quick_trainer(steps=2)
+        trainer.run()
+        path = tmp_path / "t.ckpt"
         trainer.save(path)
-        monkeypatch.undo()
-        for load in (load_model, lambda p: Trainer.load(p, trainer.batches)):
-            with pytest.raises(ValueError, match="unsupported checkpoint version 1; this memxl reads version 2"):
-                load(path)
+        blob = path.read_bytes()
+        base = 12 + int.from_bytes(blob[4:12], "little")
+        entries = json.loads(blob[12:base])["arrays"]
+        assert [e["name"] for e in entries] == ["params", "adam_m", "adam_v", "mem.0.buffer", "mem.0.tags",
+                                                "mem.1.buffer", "mem.1.tags"]
+        for e in entries:
+            assert e["nbytes"] > 0
+            flipped = bytearray(blob)
+            flipped[base + e["offset"] + e["nbytes"] // 2] ^= 0xFF
+            path.write_bytes(flipped)
+            for load in (load_model, lambda p: Trainer.load(p, trainer.batches)):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: array '{e['name']}' is corrupt"):
+                    load(path)
 
 
 class TestTrainHelper:
