@@ -11,7 +11,7 @@ training pass; evaluation always uses the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,16 +89,6 @@ class LayerAttentionParams:
             v=w(d_head),
         )
 
-    def crossed(self, sigma: HeadAssignment | None) -> "LayerAttentionParams":
-        """The parameters under ``sigma``: query head M reads the key, position
-        key and value projections of head sigma(M). ``self`` when no
-        assignment is active."""
-        if sigma is None or not sigma.cross_active:
-            return self
-        pick = sigma.sigma
-        return replace(self, w_ke=ad.index_rows(self.w_ke, pick), w_kr=ad.index_rows(self.w_kr, pick),
-                       w_v=ad.index_rows(self.w_v, pick))
-
 
 def position_keys(enc: OffsetEncodings, w_kr: Tensor) -> Tensor:
     """Each head's projection of the encoded offsets, [1, n, H * d_h] rows, in
@@ -106,28 +96,22 @@ def position_keys(enc: OffsetEncodings, w_kr: Tensor) -> Tensor:
     return ad.linear(Tensor(enc.vectors[None].astype(w_kr.dtype, copy=False)), w_kr)
 
 
-def multi_head_forward(
-    x_n: Tensor,
-    keys: Tensor,
-    values: Tensor,
-    enc: OffsetEncodings,
-    params: LayerAttentionParams,
-    positions: Tensor,
-    grids: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Tensor:
+def multi_head_forward(x_n: Tensor, keys: Tensor, values: Tensor, enc: OffsetEncodings, params: LayerAttentionParams,
+                       positions: Tensor, sigma: np.ndarray | None = None,
+                       grids: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Attention sublayer body on [..., L, d] normalised query rows: query
     projection, the fused attention core (head split, scores, softmax and
     merged head outputs in one node) and output projection.
     Returns [..., L, d].
 
     ``keys`` and ``values`` are the [..., K, H * d_h] rows the queries attend
-    to, the memory's first and the block's own last, projected with the same
-    (possibly crossed) ``params``. ``positions`` holds the [1, n, H * d_h]
-    position keys of ``enc`` (``position_keys``). Cross-head matching
-    happens before this call, in ``params.crossed``. ``grids``, under
-    ``no_grad`` only, are the flat buffers whose fronts the core writes its
-    score grids into (``ad.attention_core``).
+    to, the memory's first and the block's own last, projected with the
+    layer's own ``params``, and ``positions`` the [1, n, H * d_h] position
+    keys of ``enc`` (``position_keys``). ``sigma``, a head permutation or
+    None, crosses heads in the core: query head M reads head sigma(M). Under
+    ``no_grad`` only, ``grids`` are the flat buffers whose fronts the core
+    writes its score grids into (``ad.attention_core``).
     """
     q = ad.linear(x_n, params.w_q)
-    merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc, grids)  # [..., L, H * d_h]
+    merged = ad.attention_core(q, keys, values, positions, params.u, params.v, enc, sigma, grids)  # [..., L, H * d_h]
     return ad.linear(merged, params.w_o)

@@ -268,8 +268,13 @@ def _future(length: int) -> np.ndarray:
     return mask
 
 
+def _crossed(split: np.ndarray, sigma: np.ndarray | None, back: bool = False) -> np.ndarray:
+    """[..., H, T, d] heads reordered so that head N holds query head sigma^-1(N), or ``back`` into query order."""
+    return split if sigma is None else split.take(sigma if back else sigma.argsort(), axis=-3)
+
+
 def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u: Tensor, v: Tensor, layout,
-                   grids: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+                   sigma: np.ndarray | None = None, grids: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Relative-position attention of [..., L, H * d_h] query rows over
     [..., K, H * d_h] key rows and [..., K, H * d_v] value rows, with d_h the
     width of ``u`` and ``v``: each head's softmax(S) @ values, merged head by
@@ -282,6 +287,11 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     ``positions`` holds its [1, n, H * d_h] position keys in shift order. The
     last L keys are the queries' own, so the future slots are the trailing
     [L, L] upper triangle; they get -inf.
+
+    ``sigma``, a permutation of the heads or None, crosses heads: query head
+    M reads head sigma(M)'s keys, position keys and values. The query heads
+    are reordered by sigma's inverse and the outputs put back by sigma, as
+    are the VJP's gradients; no key-side array or weight is copied.
 
     The rows are split into heads by a [..., H, T, d_h] view, and the head
     outputs merged back by a copy of the swapped view; the VJP undoes both,
@@ -308,6 +318,7 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         return split.swapaxes(-2, -3).reshape(split.shape[:-3] + (split.shape[-2], -1))
 
     qh, kh, vh, ph = (heads(x.data) for x in (q, keys, values, positions))
+    qh = _crossed(qh, sigma)
     u_data, v_data, runs = u.data, v.data, layout.runs
     length, n_keys, span = qh.shape[-2], kh.shape[-2], ph.shape[-2]
     first, last, _ = runs[-1]
@@ -332,14 +343,16 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
     p -= peak
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    out = merge(np.matmul(p, vh))
+    out = merge(_crossed(np.matmul(p, vh), sigma, back=True))
 
     # the VJP keeps p and rebuilds q + u and q + v; it reads the head outputs
     # through a head view of the node's own merged output
     def vjp(g):
-        g = heads(g)
+        g = _crossed(heads(g), sigma)
         ds = np.matmul(g, vh.swapaxes(-1, -2))
-        ds -= np.add.reduce(g * heads(out), axis=-1, keepdims=True)
+        ds -= np.add.reduce(g * _crossed(heads(out), sigma), axis=-1, keepdims=True)
+        gv = merge(_unbroadcast(np.matmul(p.swapaxes(-1, -2), g), vh.shape))
+        del g  # a crossed call's reordered copy goes before gpos comes
         ds *= p
         ds *= scale
         # L - 1 padding columns keep the future slots' zeros off the real ones
@@ -351,9 +364,9 @@ def attention_core(q: Tensor, keys: Tensor, values: Tensor, positions: Tensor, u
         gqu = np.matmul(ds, kh)
         gqv = np.matmul(gpos, ph)
         return (
-            merge(gqu + gqv),
+            merge(_crossed(gqu + gqv, sigma, back=True)),
             merge(_unbroadcast(np.matmul(ds.swapaxes(-1, -2), qh + u_data), kh.shape)),
-            merge(_unbroadcast(np.matmul(p.swapaxes(-1, -2), g), vh.shape)),
+            gv,
             merge(_unbroadcast(np.matmul(gpos.swapaxes(-1, -2), qh + v_data), ph.shape)),
             _unbroadcast(gqu, u_data.shape),
             _unbroadcast(gqv, v_data.shape),

@@ -1,9 +1,10 @@
 """Self-describing binary checkpoint container.
 
-Layout: 4-byte magic, 8-byte little-endian header length, UTF-8 JSON
-header, then the raw array bytes back to back. The header carries
-arbitrary JSON metadata plus one entry per array (name, dtype, shape,
-offset, size, CRC32). Round trips are bit-exact; a load checks every CRC32.
+Layout: 4-byte magic, 8-byte little-endian header length and 4-byte CRC32
+of the header, the UTF-8 JSON header, then the raw array bytes back to
+back. The header carries arbitrary JSON metadata plus one entry per array
+(name, dtype, shape, offset, size, CRC32). Round trips are bit-exact; a
+load checks every CRC32.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import zlib
 import numpy as np
 
 MAGIC = b"MXCK"
-VERSION = 3
+VERSION = 4
+PREAMBLE = struct.Struct("<4sQI")  # magic, header length, the header's CRC32
 
 
 def _little_endian(arr: np.ndarray) -> np.ndarray:
@@ -41,8 +43,7 @@ def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(header)))
+            f.write(PREAMBLE.pack(MAGIC, len(header), zlib.crc32(header)))
             f.write(header)
             for arr in arrays.values():
                 f.write(arr.reshape(-1).view(np.uint8))  # C-order bytes, 0-d included
@@ -69,15 +70,19 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         f.readinto(blob)
     if blob[:4] != MAGIC[:len(blob)]:  # a file cut inside the magic is truncated, below
         raise ValueError(f"{path} is not a checkpoint file (bad magic)")
-    if len(blob) < 12:
-        raise ValueError(f"{path} is truncated: {len(blob)} bytes, shorter than the header length field")
-    (header_len,) = struct.unpack("<Q", blob[4:12])
-    if len(blob) < 12 + header_len:
+    if len(blob) < PREAMBLE.size:
+        raise ValueError(f"{path} is truncated: {len(blob)} bytes, shorter than the {PREAMBLE.size}-byte preamble")
+    _, header_len, header_crc = PREAMBLE.unpack_from(blob)
+    start = 12 if blob[12:24] == b'{"version": ' else PREAMBLE.size  # versions 1 to 3: no header CRC32
+    base = start + header_len
+    if len(blob) < base:
         raise ValueError(f"{path} is truncated: {len(blob)} bytes, shorter than its {header_len}-byte header")
-    header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+    if start == PREAMBLE.size and (crc := zlib.crc32(blob[start:base])) != header_crc:
+        raise ValueError(f"{path}: the header is corrupt: its bytes' CRC32 is {crc:08x}, the preamble's {header_crc:08x}")
+    header = json.loads(blob[start:base].decode("utf-8"))
     if (version := header.get("version")) != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}; this memxl reads version {VERSION}")
-    base, offset, arrays = 12 + header_len, 0, {}
+    offset, arrays = 0, {}
     for e in header["arrays"]:  # written back to back, each exactly its shape's bytes
         dtype, count = np.dtype(e["dtype"]), int(np.prod(e["shape"], dtype=np.int64))
         if e["nbytes"] != dtype.itemsize * count or e["offset"] != offset:

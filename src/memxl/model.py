@@ -124,14 +124,14 @@ class LayerMemory:
     tags: np.ndarray    # [rows] absolute positions
     staleness: int = 0
 
-    def join(self, keys: Tensor, values: Tensor, lp: LayerParams, params: LayerAttentionParams):
+    def join(self, keys: Tensor, values: Tensor, lp: LayerParams):
         """The cached rows' keys and values, scaled, shifted and projected with
         the graph attached, followed by the block's ``keys`` and ``values``."""
         if self.buffer.shape[1] == 0:
             return keys, values
         rows = ad.scale_shift(self.buffer, lp.ln_attn_g, lp.ln_attn_b)
-        return (ad.concat([ad.linear(rows, params.w_ke), keys], axis=1),
-                ad.concat([ad.linear(rows, params.w_v), values], axis=1))
+        return (ad.concat([ad.linear(rows, lp.attn.w_ke), keys], axis=1),
+                ad.concat([ad.linear(rows, lp.attn.w_v), values], axis=1))
 
     def advanced(self, x, step_tags, mem_len: int) -> "LayerMemory":
         """The newest ``mem_len`` rows of (buffer ++ detached ``x``), joined
@@ -160,8 +160,8 @@ class MemoryState:
     def batch(self) -> int:
         return self.layers[0].buffer.shape[0]
 
-    def check(self, tokens: np.ndarray, skip_mask, assignments) -> np.ndarray:
-        """The call's [B, L] tokens: training takes any mask and assignments."""
+    def check(self, tokens: np.ndarray, skip_mask) -> np.ndarray:
+        """The call's [B, L] tokens: training takes any mask."""
         return tokens
 
     def layouts(self, q_tags: np.ndarray, record):
@@ -212,7 +212,7 @@ class StreamLayer:
     staleness: int = 0
     stop: int = 0          # the kept rows are the stores' rows stop - rows .. stop - 1
 
-    def join(self, keys: Tensor, values: Tensor, lp: LayerParams, params: LayerAttentionParams):
+    def join(self, keys: Tensor, values: Tensor, lp: LayerParams):
         """Keys and values of each of the call's [B, S, L, H * d_h] blocks
         after the memory rows before it, as [B, S, rows + L, H * d_h]
         windows. For S > 1 the memory must be full, so that every block's
@@ -295,14 +295,12 @@ class StreamState:
         grids = (np.empty(grid, config.dtype), np.empty(grid, config.dtype))
         return StreamState(layers, mem_len, block_len, blocks, enc, grids)
 
-    def check(self, tokens: np.ndarray, skip_mask, assignments) -> np.ndarray:
+    def check(self, tokens: np.ndarray, skip_mask) -> np.ndarray:
         """Refuse a call this stream cannot take, before any write; its tokens as [B, S, L]."""
         if ad.grad_enabled():
             raise RuntimeError("a stream state holds projections of fixed parameters; use it under no_grad only")
         if skip_mask is not None:
             raise ValueError("a stream state runs every layer on every block; it takes no skip mask")
-        if assignments is not None and any(a.cross_active for a in assignments):
-            raise ValueError("a stream state caches its own heads' keys; it takes no crossed head assignment")
         batch, n_tokens = tokens.shape
         length = min(n_tokens, self.block_len)
         if n_tokens > length:
@@ -428,7 +426,7 @@ class MemoryLM:
             raise ValueError(f"memory has {len(mems.layers)} layers, model has {cfg.n_layers}")
         if mems.batch != batch:
             raise ValueError(f"memory batch {mems.batch} does not match tokens batch {batch}")
-        blocks = mems.check(tokens, skip_mask, assignments)
+        blocks = mems.check(tokens, skip_mask)
         if skip_mask is None:
             skip_mask = np.zeros(cfg.n_layers, dtype=bool)
         skip_mask = np.asarray(skip_mask, dtype=bool)
@@ -436,6 +434,7 @@ class MemoryLM:
             raise ValueError(f"skip mask must have length {cfg.n_layers}, got shape {skip_mask.shape}")
         if assignments is not None and len(assignments) != cfg.n_layers:
             raise ValueError(f"need one head assignment per layer, got {len(assignments)}")
+        sigmas = [None] * cfg.n_layers if assignments is None else [a.sigma if a.cross_active else None for a in assignments]
 
         h = ad.index_rows(self.embedding, blocks)
         h = ad.dropout(h, cfg.dropout, dropout_rng, training)
@@ -449,15 +448,14 @@ class MemoryLM:
                     record.append(LayerTrace(layer=i, skipped=True, staleness=lm.staleness, offsets=None))
                 continue
 
-            attn_params = lp.attn.crossed(assignments[i] if assignments is not None else None)
-            offsets, enc, positions, grids = layout(lm, attn_params.w_kr)
+            offsets, enc, positions, grids = layout(lm, lp.attn.w_kr)
             if record is not None:
                 record.append(LayerTrace(layer=i, skipped=False, staleness=lm.staleness, offsets=offsets))
 
             x_n, normed = ad.layer_norm(h, lp.ln_attn_g, lp.ln_attn_b)
             # the layer attends to its memory's rows followed by the block's
-            keys, values = lm.join(ad.linear(x_n, attn_params.w_ke), ad.linear(x_n, attn_params.w_v), lp, attn_params)
-            attn = multi_head_forward(x_n, keys, values, enc, attn_params, positions, grids)
+            keys, values = lm.join(ad.linear(x_n, lp.attn.w_ke), ad.linear(x_n, lp.attn.w_v), lp)
+            attn = multi_head_forward(x_n, keys, values, enc, lp.attn, positions, sigmas[i], grids=grids)
             attn = ad.dropout(attn, cfg.dropout, dropout_rng, training)
             h = ad.add(h, attn)
 

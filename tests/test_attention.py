@@ -67,14 +67,14 @@ def run_forward(x_block, memory, query_tags, key_tags, params, assignment=None):
     offsets = relative_offsets(query_tags, key_tags)
     enc = encode_offsets(offsets, x_block.shape[-1])
     x_t = ad.Tensor(x_block.reshape(-1, *x_block.shape[-2:]))
-    params = params.crossed(assignment)
     keys, values = ad.linear(x_t, params.w_ke), ad.linear(x_t, params.w_v)
     if memory is not None and len(memory):
         mem_t = ad.Tensor(memory.reshape(-1, *memory.shape[-2:]))
         keys = ad.concat([ad.linear(mem_t, params.w_ke), keys], axis=1)
         values = ad.concat([ad.linear(mem_t, params.w_v), values], axis=1)
     positions = attention.position_keys(enc, params.w_kr)
-    out = attention.multi_head_forward(x_t, keys, values, enc, params, positions)
+    sigma = None if assignment is None else assignment.sigma
+    out = attention.multi_head_forward(x_t, keys, values, enc, params, positions, sigma)
     out.data = out.data.reshape(x_block.shape)  # the output projection's VJP reads its gradient flat
     return out
 
@@ -141,6 +141,7 @@ class TestForwardOracle:
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-14)
 
     def test_identity_assignment_bitwise_equals_none(self, rng):
+        """The core reordering its query heads by the identity changes no bit."""
         params = make_params(rng)
         x = rng.standard_normal((4, 6))
         q_tags = np.arange(4)
@@ -282,19 +283,6 @@ class TestCrossHeadGradients:
         for w in (params.w_ke, params.w_kr, params.w_v):
             assert np.abs(w.grad[1]).max() > 0
             np.testing.assert_array_equal(w.grad[0], np.zeros((2, 4)))
-
-
-class TestCrossedParams:
-    def test_crossing_indexes_the_key_side_weights_only(self, rng):
-        params = make_params(rng)
-        sigma = np.array([2, 0, 1])
-        crossed = params.crossed(HeadAssignment(sigma=sigma, cross_active=True))
-        for name in ("w_ke", "w_kr", "w_v"):
-            np.testing.assert_array_equal(getattr(crossed, name).data, getattr(params, name).data[sigma])
-        for name in ("w_q", "w_o", "u", "v"):
-            assert getattr(crossed, name) is getattr(params, name)
-        assert params.crossed(None) is params
-        assert params.crossed(HeadAssignment.identity(3)) is params
 
 
 class TestAssignmentSampling:

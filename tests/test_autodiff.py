@@ -366,6 +366,11 @@ def core_run(op, inputs, layout, weights):
     return out.data, [x.grad for x in inputs]
 
 
+def heads_in_order(rows, order):
+    """[..., T, H * d_h] rows whose head block M is the input's block order[M]."""
+    return rows.reshape(rows.shape[:-1] + (order.size, -1))[..., order, :].reshape(rows.shape)
+
+
 def fused_calls(dtype, rng):
     """Each fused op on [B, T, d] inputs, as (name, output, inputs); linear
     once with an [n_out, d] and once with an [H, d_h, d] weight."""
@@ -484,12 +489,15 @@ class TestAttentionCore:
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
     # "shift" is the core on the filling layout; "gather" checks the gather
-    # reference itself, on the gapped layout, so the agreement above ties both to the math
-    @pytest.mark.parametrize("case", ["shift", "gather", "stale1", "stale3", "gapped"])
+    # reference itself, on the gapped layout, so the agreement above ties both
+    # to the math; "crossed" crosses three heads by a 3-cycle, which, unlike a
+    # swap of two, is not its own inverse
+    @pytest.mark.parametrize("case", ["shift", "gather", "stale1", "stale3", "gapped", "crossed"])
     def test_grads_match_central_differences(self, rng, case):
-        layout = {"shift": "filling", "gather": "gapped"}.get(case, case)
-        inputs, enc, offsets = core_inputs(rng, np.float64, layout, n_heads=2, d_head=3)
-        op, arg = (gather_attention, offsets) if case == "gather" else (ad.attention_core, enc)
+        layout = {"shift": "filling", "gather": "gapped", "crossed": "stale1"}.get(case, case)
+        inputs, enc, offsets = core_inputs(rng, np.float64, layout, n_heads=3 if case == "crossed" else 2, d_head=3)
+        sigma = np.array([1, 2, 0]) if case == "crossed" else None
+        op, arg = (gather_attention, offsets) if case == "gather" else (lambda *a: ad.attention_core(*a, sigma), enc)
         weights = rng.standard_normal(inputs[0].shape)
         _, grads = core_run(op, inputs, arg, weights)
 
@@ -499,6 +507,25 @@ class TestAttentionCore:
         arrays = [x.data for x in inputs]
         for i, grad in enumerate(grads):
             np.testing.assert_allclose(grad, numeric_grad(loss_fn, arrays, i), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("layout", ["filling", "gapped"])
+    def test_crossed_heads_match_the_identity_core_on_gathered_key_heads(self, rng, layout):
+        """Crossing inside the core against crossing before it: the key, value
+        and position-key head blocks gathered by sigma, a 3-cycle, then the
+        identity core. The same output bytes, and the same gradients within
+        1e-13 once the gathered blocks' are put back in head order."""
+        sigma = np.array([1, 2, 0])
+        inputs, enc, _ = core_inputs(rng, np.float64, layout)
+        weights = rng.standard_normal(inputs[0].shape)
+        out, grads = core_run(lambda *a: ad.attention_core(*a, sigma), inputs, enc, weights)
+        gathered = [ad.Tensor(heads_in_order(x.data, sigma) if i in (1, 2, 3) else x.data, requires_grad=True)
+                    for i, x in enumerate(inputs)]
+        want, want_grads = core_run(ad.attention_core, gathered, enc, weights)
+        want_grads[1:4] = [heads_in_order(g, sigma.argsort()) for g in want_grads[1:4]]
+        assert out.tobytes() == want.tobytes()
+        for a, b in zip(grads, want_grads):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
     @pytest.mark.parametrize("layout", ["filling", "gapped"])
     def test_float32_in_float32_out(self, rng, layout):
@@ -543,7 +570,7 @@ class TestAttentionCore:
             for spare in (0, 7):
                 buffers = tuple(np.full(size + spare, np.nan) for size in sizes)
                 for _ in range(2):
-                    got = ad.attention_core(*inputs, enc, buffers).data
+                    got = ad.attention_core(*inputs, enc, grids=buffers).data
                     assert got.tobytes() == want.tobytes()
                     pos_grid, key_grid = (b[:n].reshape(batch, n_heads, length, -1) for b, n in zip(buffers, sizes))
                     np.testing.assert_allclose(key_grid.sum(axis=-1), 1.0, rtol=1e-13)
@@ -558,7 +585,7 @@ class TestAttentionCore:
         length, n_keys = offsets.shape
         grids = (np.empty(2 * 3 * length * enc.offsets.size), np.empty(2 * 3 * length * n_keys))
         with pytest.raises(RuntimeError, match="no_grad"):
-            ad.attention_core(*inputs, enc, grids)
+            ad.attention_core(*inputs, enc, grids=grids)
 
     def test_rejects_layout_of_other_queries_or_keys(self, rng):
         inputs, _, _ = core_inputs(rng, np.float64, "stale1")  # 4 queries, 8 keys

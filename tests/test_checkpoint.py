@@ -2,12 +2,13 @@ import json
 import os
 import stat
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 import memxl.checkpoint as checkpoint
-from memxl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from memxl.checkpoint import MAGIC, PREAMBLE, load_checkpoint, save_checkpoint
 
 
 class TestRoundTrip:
@@ -65,13 +66,13 @@ class TestFormatGuards:
 
     def test_file_cut_anywhere_is_rejected(self, tmp_path):
         """Inside the magic (an empty file too), inside the length field, just
-        after it, inside the header, at the header's last byte, in the first
-        array or the last."""
+        after it, inside the header's CRC32, just after the preamble, inside
+        the header, at the header's last byte, in the first array or the last."""
         path = tmp_path / "cut.ckpt"
         save_checkpoint(path, {"a": 1}, {"x": np.ones(10), "y": np.arange(3)})
         blob = path.read_bytes()
-        header_end = 12 + int.from_bytes(blob[4:12], "little")
-        for size in (0, 1, 2, 3, 8, 12, 20, header_end - 1, len(blob) - 100, len(blob) - 1):
+        header_end = 16 + int.from_bytes(blob[4:12], "little")
+        for size in (0, 1, 2, 3, 8, 12, 14, 16, 20, header_end - 1, len(blob) - 100, len(blob) - 1):
             path.write_bytes(blob[:size])
             with pytest.raises(ValueError, match="truncated"):
                 load_checkpoint(path)
@@ -93,11 +94,11 @@ class TestFormatGuards:
         path = tmp_path / "state.ckpt"
         save_checkpoint(path, {}, {"a": np.arange(4), "b": np.arange(10, 14)})
         blob = path.read_bytes()
-        end = 12 + int.from_bytes(blob[4:12], "little")
-        header = json.loads(blob[12:end])
+        end = 16 + int.from_bytes(blob[4:12], "little")
+        header = json.loads(blob[16:end])
         header["arrays"][0].update(edit)
         new = json.dumps(header).encode()
-        path.write_bytes(MAGIC + len(new).to_bytes(8, "little") + new + blob[end:])
+        path.write_bytes(PREAMBLE.pack(MAGIC, len(new), zlib.crc32(new)) + new + blob[end:])
         with pytest.raises(ValueError, match=f"array '{name}' claims"):
             load_checkpoint(path)
 
@@ -109,14 +110,33 @@ class TestFormatGuards:
                   "flags": np.array([True, False, True]), "counts": np.arange(7, dtype=np.int64)}
         save_checkpoint(path, {}, arrays)
         blob = path.read_bytes()
-        base = 12 + int.from_bytes(blob[4:12], "little")
-        for e in json.loads(blob[12:base])["arrays"]:
+        base = 16 + int.from_bytes(blob[4:12], "little")
+        for e in json.loads(blob[16:base])["arrays"]:
             for at in (0, e["nbytes"] // 2, e["nbytes"] - 1):
                 flipped = bytearray(blob)
                 flipped[base + e["offset"] + at] ^= 0xFF
                 path.write_bytes(flipped)
                 with pytest.raises(ValueError, match=f"array '{e['name']}' is corrupt"):
                     load_checkpoint(path)
+
+    def test_flipped_byte_in_the_header_or_its_preamble_is_refused(self, tmp_path):
+        """The header's CRC32 sits in the preamble: a metadata digit changed,
+        or any one byte of the length field, the CRC32 or the header flipped,
+        is refused as a corrupt header or a truncated file, never loaded and
+        never a JSON error."""
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(path, {"step": 12}, {"x": np.arange(3)})
+        blob = path.read_bytes()
+        base = 16 + int.from_bytes(blob[4:12], "little")
+        path.write_bytes(blob.replace(b'"step": 12', b'"step": 13'))
+        with pytest.raises(ValueError, match=f"^{path}: the header is corrupt: its bytes' CRC32 is "):
+            load_checkpoint(path)
+        for at in range(4, base):
+            flipped = bytearray(blob)
+            flipped[at] ^= 0xFF
+            path.write_bytes(flipped)
+            with pytest.raises(ValueError, match="the header is corrupt|is truncated"):
+                load_checkpoint(path)
 
     def test_magic_is_stable(self, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -143,7 +163,7 @@ class TestAtomicWrite:
 
             def write(self, data):
                 self.writes += 1
-                if self.writes == 4:  # magic, header length, header, then the first array
+                if self.writes == 3:  # the preamble, the header, then the first array
                     injected()
                 return self.f.write(data)
 

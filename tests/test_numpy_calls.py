@@ -163,7 +163,7 @@ class TestParity:
         store = [rows(rng, (batch, capacity, width), dtype) for _ in range(2)]
         layer = StreamLayer(store[0], store[1], np.zeros((1, 1, width), dtype), rows=rows_kept, stop=stop)
         new = [ad.Tensor(rows(rng, (batch, segments, length, width), dtype)) for _ in range(2)]
-        windows = layer.join(*new, None, None)
+        windows = layer.join(*new, None)
         first = layer.stop - segments * length - rows_kept
         for window, s in zip(windows, store):
             b, r, c = s.strides

@@ -199,18 +199,26 @@ class TestStreamingEvaluation:
             _, advanced = model.forward(np.array([[1, 2, 3, 4]]), stream)
         assert advanced is stream and stream.next_position == 4 and stream.layers[0].rows == 4
 
-    def test_stream_state_refuses_crossed_heads(self):
-        """A stream caches keys projected by each layer's own heads, which a
-        crossed block's keys would not match."""
-        model = MemoryLM(tiny_config(), RngHub(0)["init"])
-        stream = StreamState.fresh(model, 1, 4, 4)
-        crossed = [HeadAssignment.identity(2), HeadAssignment(np.array([1, 0]), cross_active=True)]
+    def test_stream_state_takes_crossed_heads(self):
+        """A stream caches the keys and values of each layer's own heads, and
+        a crossed call reads them too, since the attention core crosses heads
+        by reordering its queries. Crossed stream calls, of one block and of
+        two over full memory, give the logit bytes of the same blocks crossed
+        the same way on a memory state."""
+        model = MemoryLM(tiny_config(n_heads=3), RngHub(0)["init"])
+        stream, mems = StreamState.fresh(model, 1, 4, 4, blocks=2), model.init_memory(1, mem_len=4)
+        ids = make_ids(20)[None, :]
+        cycles = [HeadAssignment(np.array(s), cross_active=True) for s in ([1, 2, 0], [2, 0, 1])]
         with ad.no_grad():
-            with pytest.raises(ValueError, match="crossed"):
-                model.forward(np.array([[1, 2, 3, 4]]), stream, assignments=crossed)
-            assert stream.next_position == 0 and stream.layers[1].rows == 0
-            model.forward(np.array([[1, 2, 3, 4]]), stream, assignments=[HeadAssignment.identity(2)] * 2)
-        assert stream.next_position == 4
+            for k, (a, b) in enumerate(((0, 4), (4, 8), (8, 16), (16, 20))):
+                crossed = [cycles[k % 2], cycles[1 - k % 2]]
+                got, _ = model.forward(ids[:, a:b], stream, assignments=crossed)
+                want = []
+                for c in range(a, b, 4):
+                    logits, mems = model.forward(ids[:, c:c + 4], mems, assignments=crossed)
+                    want.append(logits.data)
+                assert got.data.tobytes() == np.concatenate(want, axis=1).tobytes()
+        assert stream.next_position == 20
 
     def test_calls_that_the_benchmark_times_and_traces(self, monkeypatch):
         """One MemoryLM.forward per chunk: one block per call while the memory
@@ -447,7 +455,6 @@ class TestStreamBuffers:
     REFUSALS = {  # refusal: (tokens the stream holds, tokens of the refused call, message)
         "recording": (4, 4, "no_grad"),
         "skip_mask": (4, 4, "skip mask"),
-        "crossed": (4, 4, "crossed"),
         "part_block": (8, 6, "whole blocks"),
         "several_before_full": (4, 8, "whole blocks"),
     }
@@ -461,8 +468,7 @@ class TestStreamBuffers:
         stream = StreamState.fresh(model, 1, 8, 4, blocks=2)
         ids = make_ids(filled + n_tokens)[None, :]
         stream_calls(model, ids[:, :filled], stream, 4)
-        crossed = [HeadAssignment.identity(2), HeadAssignment(np.array([1, 0]), cross_active=True)]
-        kwargs = {"skip_mask": {"skip_mask": [False, True]}, "crossed": {"assignments": crossed}}.get(refusal, {})
+        kwargs = {"skip_mask": {"skip_mask": [False, True]}}.get(refusal, {})
 
         def state():
             return stream.next_position, [(lm.rows, lm.stop, lm.keys.tobytes(), lm.values.tobytes())
@@ -513,9 +519,9 @@ class TestStreamBuffers:
         calls = []
         attend = model_module.multi_head_forward
 
-        def recording(*args):
-            calls.append((args[0].shape[1], args[-1][1]))
-            return attend(*args)
+        def recording(*args, **kwargs):
+            calls.append((args[0].shape[1], kwargs["grids"][1]))
+            return attend(*args, **kwargs)
 
         monkeypatch.setattr(model_module, "multi_head_forward", recording)
         assert evaluate(model, ids, 32, 16).nll == want
@@ -920,18 +926,21 @@ class TestPersistence:
                 load(path)
 
     def test_both_loaders_refuse_an_older_version(self, tmp_path, monkeypatch):
-        """Version 1 stored the arena per parameter and version 2 raw memory
-        rows with no CRC32s; either is refused by its number."""
+        """Version 1 stored the arena per parameter, version 2 raw memory rows
+        with no CRC32s, and version 3 no CRC32 of the header, which followed
+        its length; each, in that layout, is refused by its number."""
         trainer = quick_trainer(steps=1)
         trainer.run()
         path = tmp_path / "t.ckpt"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             monkeypatch.setattr(checkpoint_module, "VERSION", version)
             trainer.save(path)
             monkeypatch.undo()
+            blob = path.read_bytes()
+            path.write_bytes(blob[:12] + blob[16:])  # the header right after its length
             for load in (load_model, lambda p: Trainer.load(p, trainer.batches)):
                 with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; this memxl reads "
-                                                     f"version 3"):
+                                                     f"version 4"):
                     load(path)
 
     def test_both_loaders_refuse_a_flipped_byte_in_any_array(self, tmp_path):
@@ -943,8 +952,8 @@ class TestPersistence:
         path = tmp_path / "t.ckpt"
         trainer.save(path)
         blob = path.read_bytes()
-        base = 12 + int.from_bytes(blob[4:12], "little")
-        entries = json.loads(blob[12:base])["arrays"]
+        base = 16 + int.from_bytes(blob[4:12], "little")
+        entries = json.loads(blob[16:base])["arrays"]
         assert [e["name"] for e in entries] == ["params", "adam_m", "adam_v", "mem.0.buffer", "mem.0.tags",
                                                 "mem.1.buffer", "mem.1.tags"]
         for e in entries:
